@@ -142,7 +142,7 @@ def _cmd_lp(args: argparse.Namespace) -> int:
 def _cmd_vertices(args: argparse.Namespace) -> int:
     instance = load_instance(args.instance)
     system = build_system(instance)
-    report = system.enumerate_vertices(max_edges=args.max_edges, method=args.method)
+    report = system.enumerate_vertices(max_edges=args.max_edges)
     lines = []
     for v in report.vertices:
         coords = ", ".join(
@@ -187,10 +187,21 @@ def _cmd_adjacency(args: argparse.Namespace) -> int:
     return 0
 
 
-def _verify_task(payload: tuple[Instance, int, str]) -> dict | None:
-    instance, max_edges, method = payload
-    result = verify_instance(instance, max_edges=max_edges, method=method)
+def _verify_task(payload: tuple[Instance, int]) -> dict | None:
+    instance, max_edges = payload
+    result = verify_instance(instance, max_edges=max_edges)
     return None if result.ok else result.to_json()
+
+
+def _tally(outcomes: Iterable[dict | None]) -> tuple[int, list[dict]]:
+    """Count the outcomes and keep the failure records, in order."""
+    checked = 0
+    failures: list[dict] = []
+    for outcome in outcomes:
+        checked += 1
+        if outcome is not None:
+            failures.append(outcome)
+    return checked, failures
 
 
 def _instances_for_verify(args: argparse.Namespace) -> Iterator[Instance]:
@@ -216,22 +227,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         workers = int(os.environ.get(WORKERS_ENV, "1"))
     if workers < 1:
         raise InstanceError("worker count must be at least 1")
-    payloads = (
-        (inst, args.max_edges, args.method) for inst in _instances_for_verify(args)
-    )
-    failures: list[dict] = []
-    checked = 0
+    payloads = ((inst, args.max_edges) for inst in _instances_for_verify(args))
     if workers == 1:
-        outcomes: Iterable[dict | None] = map(_verify_task, payloads)
+        checked, failures = _tally(map(_verify_task, payloads))
     else:
-        pool = ProcessPoolExecutor(max_workers=workers)
-        outcomes = pool.map(_verify_task, payloads, chunksize=16)
-    for outcome in outcomes:
-        checked += 1
-        if outcome is not None:
-            failures.append(outcome)
-    if workers > 1:
-        pool.shutdown()
+        # the results are consumed inside the block, so the pool is shut
+        # down on every exit path, a raising worker included
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            checked, failures = _tally(pool.map(_verify_task, payloads, chunksize=16))
     if args.quarantine:
         Path(args.quarantine).write_text(
             json.dumps(failures, sort_keys=True, indent=2) + "\n", encoding="utf-8"
@@ -332,7 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("vertices", help="enumerate the extreme points exactly")
     p.add_argument("instance")
     p.add_argument("--max-edges", type=int, default=10)
-    p.add_argument("--method", choices=("incidence", "basis"), default="incidence")
     _add_format(p)
     p.set_defaults(handler=_cmd_vertices)
 
@@ -355,7 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--random", type=int, help="verify this many random instances")
     _add_random_options(p)
     p.add_argument("--max-edges", type=int, default=10)
-    p.add_argument("--method", choices=("incidence", "basis"), default="incidence")
     p.add_argument(
         "--workers",
         type=int,

@@ -12,6 +12,7 @@ import json
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple
 
 SIDE_A = "A"
@@ -171,13 +172,20 @@ class Instance:
             result.append(Edge(a.index, b.index))
         return frozenset(result)
 
-    def best_neighbor(self, node: NodeId) -> NodeId | None:
-        nbrs = self.neighbors(node)
-        return nbrs[0] if nbrs else None
+    @cached_property
+    def cover_sets(self) -> dict[Edge, frozenset[Edge]]:
+        """The cover set of every edge, built on first use.
 
-    def worst_neighbor(self, node: NodeId) -> NodeId | None:
-        nbrs = self.neighbors(node)
-        return nbrs[-1] if nbrs else None
+        The cover of ab is ab itself, the edges at a that a prefers to b,
+        and the edges at b that b prefers to a. A matching dominates ab
+        when it meets this set, and is stable when it meets every one.
+        """
+        return {
+            e: self.better_edges(at=e.a_node, than=e.b_node)
+            | self.better_edges(at=e.b_node, than=e.a_node)
+            | {e}
+            for e in self.edges
+        }
 
 
 def validate(instance: Instance) -> list[str]:
@@ -272,7 +280,15 @@ def random_instance(
     skip_edgeless: bool = False,
 ) -> Instance:
     """Draw one instance: each pair becomes an edge with ``edge_prob``,
-    then every node shuffles its neighbour list independently."""
+    then every node shuffles its neighbour list independently.
+
+    ``skip_edgeless`` redraws until some edge exists, so it is refused
+    when no edge can ever be drawn.
+    """
+    if skip_edgeless and not (a_count > 0 and b_count > 0 and edge_prob > 0):
+        raise ValueError(
+            "skip_edgeless needs both sides non-empty and a positive edge probability"
+        )
     while True:
         present = [
             (i, j)

@@ -1,33 +1,9 @@
-"""Small exact linear algebra helpers over rationals."""
+"""Exact linear algebra over rationals for vertex certificates."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import Sequence
-
-ZERO = Fraction(0)
-
-
-def solve_square(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> list[Fraction] | None:
-    """Solve a square system exactly; None when the matrix is singular."""
-    n = len(matrix)
-    if any(len(row) != n for row in matrix) or len(rhs) != n:
-        raise ValueError("system is not square")
-    aug = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            return None
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        head = aug[col][col]
-        aug[col] = [x / head for x in aug[col]]
-        for r in range(n):
-            if r == col:
-                continue
-            factor = aug[r][col]
-            if factor:
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
-    return [aug[r][n] for r in range(n)]
 
 
 def _reduce(vector: list[Fraction], basis: list[tuple[int, list[Fraction]]]) -> list[Fraction]:
@@ -58,13 +34,3 @@ def greedy_independent(vectors: Sequence[Sequence[Fraction]], need: int) -> list
         if len(chosen) == need:
             return chosen
     return None
-
-
-def rank(vectors: Sequence[Sequence[Fraction]]) -> int:
-    basis: list[tuple[int, list[Fraction]]] = []
-    for raw in vectors:
-        vec = _reduce(list(raw), basis)
-        pivot = next((k for k, x in enumerate(vec) if x != 0), None)
-        if pivot is not None:
-            basis.append((pivot, vec))
-    return len(basis)

@@ -34,11 +34,17 @@ class Matching:
         """Build from name pairs, each pair one a-side and one b-side name."""
         edges = []
         for pair in pairs:
-            names = list(pair)
+            try:
+                names = list(pair)
+            except TypeError:
+                names = [pair]
             if len(names) != 2:
                 raise ValueError(f"matching entry {names!r} is not a pair")
-            u = instance.node_by_name(names[0])
-            v = instance.node_by_name(names[1])
+            try:
+                u = instance.node_by_name(names[0])
+                v = instance.node_by_name(names[1])
+            except KeyError as exc:
+                raise ValueError(f"pair {names!r} names an unknown node") from exc
             if u.side == v.side:
                 raise ValueError(f"pair {names!r} has both nodes on side {u.side}")
             a, b = (u, v) if u.side == SIDE_A else (v, u)
@@ -75,24 +81,18 @@ def _require_subgraph(instance: Instance, matching: Matching) -> None:
 def is_stable(instance: Instance, matching: Matching, cross_check: bool = False) -> bool:
     """Stability as a covering condition, checked edge by edge.
 
-    An edge ab is dominated when the matching intersects the set made of
-    ab itself, the edges at a that a prefers to b, and the edges at b that
-    b prefers to a. The matching is stable when every edge is dominated.
+    An edge ab is dominated when the matching meets its cover set
+    (``Instance.cover_sets``): ab itself, the edges at a that a prefers to
+    b, and the edges at b that b prefers to a. The matching is stable when
+    every edge is dominated.
 
     ``cross_check`` also runs the blocking-pair scan, which shares nothing
     with this routine beyond the instance model, and insists they agree.
     """
     _require_subgraph(instance, matching)
-    stable = True
-    for edge in instance.edges:
-        covering = (
-            instance.better_edges(at=edge.a_node, than=edge.b_node)
-            | instance.better_edges(at=edge.b_node, than=edge.a_node)
-            | {edge}
-        )
-        if not (matching.edges & covering):
-            stable = False
-            break
+    stable = not any(
+        matching.edges.isdisjoint(cover) for cover in instance.cover_sets.values()
+    )
     if cross_check:
         verdict = not blocking_pairs(instance, matching)
         if verdict != stable:

@@ -10,12 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
-from math import comb
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .instances import Edge, Instance
-from .linalg import greedy_independent, solve_square
+from .linalg import greedy_independent
 from .matchings import Matching
 from .simplex import LpResult, solve_lp
 
@@ -44,6 +42,17 @@ class Row:
             raise ValueError("column and coefficient counts differ")
         object.__setattr__(self, "_unit", all(c == 1 for c in self.coeffs))
 
+    @property
+    def is_sign(self) -> bool:
+        """True for the plain sign row ``x[c] >= 0`` of one column."""
+        return (
+            self.kind == "nonneg"
+            and len(self.cols) == 1
+            and self.coeffs[0] == 1
+            and self.rhs == 0
+            and self.relation == ">="
+        )
+
     def value(self, point: Sequence[Fraction]) -> Fraction:
         if self._unit:
             return sum((point[c] for c in self.cols), ZERO)
@@ -62,12 +71,6 @@ class Row:
         for c, w in zip(self.cols, self.coeffs):
             out[c] = w
         return out
-
-
-@dataclass(frozen=True)
-class Membership:
-    ok: bool
-    violations: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -90,13 +93,9 @@ class Vertex:
 
 @dataclass(frozen=True)
 class VertexReport:
-    method: str
     columns: tuple[Edge, ...]
     column_names: tuple[str, ...]
     vertices: tuple[Vertex, ...]
-
-    def integral_vertices(self) -> list[Vertex]:
-        return [v for v in self.vertices if v.integral]
 
     def fractional_vertices(self) -> list[Vertex]:
         return [v for v in self.vertices if not v.integral]
@@ -122,7 +121,7 @@ class VertexReport:
                 }
             )
         return {
-            "method": self.method,
+            "method": "incidence",
             "columns": list(self.column_names),
             "vertices": entries,
             "counts": {
@@ -142,14 +141,6 @@ class ConstraintSystem:
     def incidence_vector(self, matching: Matching) -> Point:
         return tuple(ONE if e in matching.edges else ZERO for e in self.columns)
 
-    def contains(self, point: Sequence[Fraction]) -> Membership:
-        if len(point) != len(self.columns):
-            raise ValueError("point dimension does not match column count")
-        violations = tuple(
-            i for i, row in enumerate(self.rows) if row.slack(point) < 0
-        )
-        return Membership(not violations, violations)
-
     def optimize(
         self, weights: Mapping[Edge, Fraction] | Sequence[Fraction], sense: str = "max"
     ) -> LpResult:
@@ -161,42 +152,26 @@ class ConstraintSystem:
                 raise ValueError("objective length does not match column count")
         constraints = []
         for row in self.rows:
-            if (
-                row.kind == "nonneg"
-                and len(row.cols) == 1
-                and row.coeffs[0] == 1
-                and row.rhs == 0
-                and row.relation == ">="
-            ):
+            if row.is_sign:
                 continue  # the solver holds variables nonnegative already
             constraints.append((list(zip(row.cols, row.coeffs)), row.relation, row.rhs))
         return solve_lp(len(self.columns), constraints, objective, sense)
 
-    def enumerate_vertices(
-        self,
-        max_edges: int = 10,
-        method: str = "incidence",
-        basis_limit: int = 200_000,
-    ) -> VertexReport:
+    def enumerate_vertices(self, max_edges: int = 10) -> VertexReport:
         """All extreme points, exact, with a tight-row basis per vertex.
 
-        ``incidence`` inserts the halfspaces one by one and tracks tight
-        sets; ``basis`` solves every square row subsystem and keeps the
-        feasible solutions. Both refuse systems wider than ``max_edges``
-        columns, since vertex counts explode with dimension.
+        The halfspaces are inserted one by one while the tight sets are
+        tracked (``_points_by_incidence``). Systems wider than
+        ``max_edges`` columns are refused, since vertex counts explode
+        with dimension.
         """
         if len(self.columns) > max_edges:
             raise ValueError(
                 f"system has {len(self.columns)} columns, limit is {max_edges}"
             )
-        if method == "incidence":
-            points = _points_by_incidence(self)
-        elif method == "basis":
-            points = _points_by_basis(self, basis_limit)
-        else:
-            raise ValueError(f"unknown method {method!r}")
+        points = _points_by_incidence(self)
         vertices = tuple(self._describe(p) for p in sorted(points))
-        return VertexReport(method, self.columns, self.column_names, vertices)
+        return VertexReport(self.columns, self.column_names, vertices)
 
     def _describe(self, point: Point) -> Vertex:
         tight = tuple(i for i, row in enumerate(self.rows) if row.is_tight(point))
@@ -257,9 +232,10 @@ class ConstraintSystem:
 def build_system(instance: Instance) -> ConstraintSystem:
     """Degree caps, sign rows and domination rows for one instance.
 
-    The domination row of edge ab covers ab itself, the edges at a that a
-    prefers to b, and the edges at b that b prefers to a; a unit mass on
-    that set is what rules the edge out as a joint improvement.
+    The domination row of edge ab asks for a unit mass on its cover set
+    (``Instance.cover_sets``): ab itself, the edges at a that a prefers to
+    b, and the edges at b that b prefers to a. That mass is what rules the
+    edge out as a joint improvement.
     """
     columns = instance.canonical_edges()
     names = tuple(instance.edge_name(e) for e in columns)
@@ -275,12 +251,7 @@ def build_system(instance: Instance) -> ConstraintSystem:
     for j, name in enumerate(names):
         rows.append(Row((j,), (ONE,), ">=", ZERO, "nonneg", name))
     for j, e in enumerate(columns):
-        cover = (
-            instance.better_edges(at=e.a_node, than=e.b_node)
-            | instance.better_edges(at=e.b_node, than=e.a_node)
-            | {e}
-        )
-        cols = tuple(sorted(col_of[f] for f in cover))
+        cols = tuple(sorted(col_of[f] for f in instance.cover_sets[e]))
         rows.append(Row(cols, (ONE,) * len(cols), ">=", ONE, "stability", names[j]))
     return ConstraintSystem(columns, names, tuple(rows))
 
@@ -322,13 +293,7 @@ def _points_by_incidence(system: ConstraintSystem) -> list[Point]:
         return [()] if all(row.slack(()) >= 0 for row in system.rows) else []
     sign_row_of: dict[int, int] = {}
     for i, row in enumerate(system.rows):
-        if (
-            row.kind == "nonneg"
-            and len(row.cols) == 1
-            and row.coeffs[0] == 1
-            and row.rhs == 0
-            and row.relation == ">="
-        ):
+        if row.is_sign:
             sign_row_of.setdefault(row.cols[0], i)
     if len(sign_row_of) < width:
         raise ValueError(
@@ -398,26 +363,3 @@ def _points_by_incidence(system: ConstraintSystem) -> list[Point]:
             )
         points.append(p)
     return points
-
-
-def _points_by_basis(system: ConstraintSystem, limit: int) -> list[Point]:
-    """Reference method: solve every square subsystem of tight candidates."""
-    width = len(system.columns)
-    if width == 0:
-        return [()] if all(row.slack(()) >= 0 for row in system.rows) else []
-    total = comb(len(system.rows), width)
-    if total > limit:
-        raise ValueError(
-            f"{total} row subsets exceed the limit of {limit}; "
-            "use the incidence method instead"
-        )
-    found: set[Point] = set()
-    for subset in combinations(range(len(system.rows)), width):
-        matrix = [system.rows[i].dense(width) for i in subset]
-        rhs = [system.rows[i].rhs for i in subset]
-        solution = solve_square(matrix, rhs)
-        if solution is None:
-            continue
-        if all(row.slack(solution) >= 0 for row in system.rows):
-            found.add(tuple(solution))
-    return sorted(found)

@@ -42,12 +42,10 @@ class VerificationResult:
         }
 
 
-def verify_instance(
-    instance: Instance, max_edges: int = 10, method: str = "incidence"
-) -> VerificationResult:
+def verify_instance(instance: Instance, max_edges: int = 10) -> VerificationResult:
     """Enumerate both sides exactly and report any disagreement."""
     system = build_system(instance)
-    report = system.enumerate_vertices(max_edges=max_edges, method=method)
+    report = system.enumerate_vertices(max_edges=max_edges)
     stable = tuple(enumerate_stable(instance, max_edges=max(16, max_edges)))
     vertex_points = {v.point for v in report.vertices if v.integral}
     stable_points = {system.incidence_vector(m): m for m in stable}

@@ -1,8 +1,9 @@
 """Slow, deliberately independent re-derivations used as test oracles.
 
-Everything here works off the raw preference tuples: no ranks, partner
-maps, or geometry from the package proper. These exist to disagree
-loudly when the fast code drifts, so clarity beats speed throughout.
+Everything here works off the raw preference tuples and raw row data:
+no ranks, partner maps, cover sets, or linear algebra from the package
+proper. These exist to disagree loudly when the fast code drifts, so
+clarity beats speed throughout.
 """
 
 from fractions import Fraction
@@ -17,6 +18,19 @@ def edge_pairs(instance):
             if i in instance.b_prefs[j]:
                 out.append((i, j))
     return sorted(out)
+
+
+def cover_pairs(instance):
+    """Map each edge (i, j) to its cover: (i, j) itself, the edges at i
+    that i lists before j, and the edges at j that j lists before i."""
+    edges = set(edge_pairs(instance))
+    covers = {}
+    for i, j in edges:
+        a_list, b_list = instance.a_prefs[i], instance.b_prefs[j]
+        better_at_a = {(i, k) for k in a_list[: a_list.index(j)]}
+        better_at_b = {(k, j) for k in b_list[: b_list.index(i)]}
+        covers[(i, j)] = ((better_at_a | better_at_b) & edges) | {(i, j)}
+    return covers
 
 
 def is_matching_pairs(pairs):
@@ -69,3 +83,77 @@ def max_weight_stable(instance, weights):
         if best is None or total > best:
             best = total
     return best
+
+
+# -- vertex reference route --------------------------------------------
+
+
+def solve_square(matrix, rhs):
+    """Solve a square system exactly by Gauss-Jordan; None when singular."""
+    n = len(matrix)
+    if any(len(row) != n for row in matrix) or len(rhs) != n:
+        raise ValueError("system is not square")
+    aug = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if pivot is None:
+            return None
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        head = aug[col][col]
+        aug[col] = [x / head for x in aug[col]]
+        for r in range(n):
+            if r == col:
+                continue
+            factor = aug[r][col]
+            if factor:
+                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
+    return [aug[r][n] for r in range(n)]
+
+
+def rank(vectors):
+    """Row rank of a list of equal-length rational vectors."""
+    rows = [list(v) for v in vectors]
+    found = 0
+    width = len(rows[0]) if rows else 0
+    for col in range(width):
+        pivot = next((r for r in range(found, len(rows)) if rows[r][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[found], rows[pivot] = rows[pivot], rows[found]
+        for r in range(found + 1, len(rows)):
+            factor = rows[r][col] / rows[found][col]
+            if factor:
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[found])]
+        found += 1
+    return found
+
+
+def basis_points(system):
+    """Every extreme point of a row system, sorted, by brute force.
+
+    Solves every square subsystem of the rows and keeps the solutions
+    that satisfy all rows. This is C(rows, columns) solves, so keep the
+    system small; it reads only each row's columns, coefficients,
+    relation and right-hand side.
+    """
+    width = len(system.columns)
+
+    def dense(row):
+        out = [Fraction(0)] * width
+        for c, w in zip(row.cols, row.coeffs):
+            out[c] = w
+        return out
+
+    def feasible(point):
+        for row in system.rows:
+            value = sum((w * point[c] for c, w in zip(row.cols, row.coeffs)), Fraction(0))
+            if (value > row.rhs) if row.relation == "<=" else (value < row.rhs):
+                return False
+        return True
+
+    found = set()
+    for subset in combinations(system.rows, width):
+        solution = solve_square([dense(row) for row in subset], [row.rhs for row in subset])
+        if solution is not None and feasible(solution):
+            found.add(tuple(solution))
+    return sorted(found)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from stablepoly import cli
 from stablepoly.cli import main
 from stablepoly.instances import instance_to_json
 
@@ -63,6 +64,22 @@ def test_check_exit_codes(capsys, tmp_path, inst_file):
     assert doc["blocking"] == ["a2 b1", "a2 b2"]
 
 
+@pytest.mark.parametrize(
+    "pairs", [[["a1", "zz"]], [5], [["a1", "b1", "b2"]]], ids=["unknown", "scalar", "triple"]
+)
+def test_bad_matching_file_is_input_error(capsys, tmp_path, inst_file, pairs):
+    # exit 1 means "unstable"; a malformed matching is unusable input
+    bad = write_matching(tmp_path, "bad.json", pairs)
+    code, out, err = run(capsys, ["check", inst_file, bad])
+    assert code == 2 and out == ""
+    assert err.startswith("error:")
+    good = write_matching(tmp_path, "good.json", [["a1", "b1"], ["a2", "b2"]])
+    for argv in (["--m1", bad, "--m2", good], ["--m1", good, "--m2", bad]):
+        code, out, err = run(capsys, ["adjacency", inst_file, *argv])
+        assert code == 2 and out == ""
+        assert err.startswith("error:")
+
+
 def test_lp_text_export(capsys, inst_file):
     code, out, _ = run(capsys, ["lp", inst_file])
     assert code == 0
@@ -89,7 +106,7 @@ def test_vertices(capsys, inst_file):
     assert code == 0
     doc = json.loads(out)
     assert doc["counts"] == {"total": 2, "integral": 2, "fractional": 0}
-    code, out, _ = run(capsys, ["vertices", inst_file, "--method", "basis"])
+    code, out, _ = run(capsys, ["vertices", inst_file])
     assert code == 0
     assert out.count("[integral]") == 2
 
@@ -173,6 +190,30 @@ def test_verify_workers_agree(capsys, monkeypatch):
     monkeypatch.setenv("STABLEPOLY_WORKERS", "0")
     code, _, err = run(capsys, argv)
     assert code == 2 and "worker" in err
+
+
+def test_verify_pool_shut_down_when_a_worker_raises(capsys, monkeypatch):
+    shutdowns = []
+
+    class RecordingPool(cli.ProcessPoolExecutor):
+        def shutdown(self, *args, **kwargs):
+            shutdowns.append(True)
+            super().shutdown(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    # complete 4x4 instances have 16 columns, over the default limit of 10
+    argv = ["verify", "--random", "2", "--a", "4", "--b", "4", "--p", "1", "--workers", "2"]
+    code, _, err = run(capsys, argv)
+    assert code == 2 and "limit is 10" in err
+    assert shutdowns
+
+
+def test_skip_edgeless_without_possible_edges_is_input_error(capsys):
+    for command in ("verify", "generate"):
+        argv = [command, "--random", "2", "--p", "0", "--skip-edgeless"]
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == ""
+        assert "skip_edgeless" in err
 
 
 def test_verify_quarantine_written_when_clean(capsys, tmp_path, inst_file):

@@ -59,8 +59,6 @@ def test_edges_require_mutual_listing():
 def test_neighbors_in_preference_order(opposed2):
     b = NodeId(SIDE_B, 0)
     assert opposed2.neighbors(b) == (NodeId(SIDE_A, 1), NodeId(SIDE_A, 0))
-    assert opposed2.best_neighbor(b) == NodeId(SIDE_A, 1)
-    assert opposed2.worst_neighbor(b) == NodeId(SIDE_A, 0)
 
 
 def test_prefers_treats_none_as_worst(opposed2):
@@ -150,6 +148,18 @@ def test_random_instance_edge_prob_extremes():
     # low density plus the skip flag still always yields at least one edge
     for _ in range(20):
         assert random_instance(2, 2, 0.1, rng, skip_edgeless=True).edges
+
+
+def test_skip_edgeless_refuses_when_no_edge_can_be_drawn():
+    rng = random.Random(5)
+    for a_count, b_count, p in ((2, 2, 0.0), (2, 2, -1.0), (0, 3, 0.5), (3, 0, 1.0)):
+        with pytest.raises(ValueError, match="skip_edgeless"):
+            random_instance(a_count, b_count, p, rng, skip_edgeless=True)
+    # without the flag these are legal, edgeless draws
+    assert random_instance(0, 3, 0.5, rng).edges == frozenset()
+    stream = random_instances(2, 2, float("nan"), seed=1, skip_edgeless=True)
+    with pytest.raises(ValueError):
+        next(stream)
 
 
 def test_json_round_trip(opposed4):

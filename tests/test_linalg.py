@@ -1,7 +1,9 @@
 import random
 from fractions import Fraction
 
-from stablepoly.linalg import greedy_independent, rank, solve_square
+from stablepoly.linalg import greedy_independent
+
+from oracles import rank, solve_square
 
 F = Fraction
 

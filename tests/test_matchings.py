@@ -35,8 +35,10 @@ def test_from_pairs_validates(opposed2):
         Matching.from_pairs(opposed2, [["a1"]])
     with pytest.raises(ValueError):
         Matching.from_pairs(opposed2, [["a1", "a2"]])
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="unknown node"):
         Matching.from_pairs(opposed2, [["a1", "b9"]])
+    with pytest.raises(ValueError, match="not a pair"):
+        Matching.from_pairs(opposed2, [5])
 
 
 def test_from_pairs_requires_instance_edges(opposed4):
