@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
 from .instances import Edge, Instance, remove_edge
-from .lattice import decompose, enumerate_stable
+from .lattice import MAX_STABLE_EDGES, decompose, enumerate_stable
 from .matchings import Matching
 from .simplex import solve_lp
 
@@ -124,19 +124,15 @@ def convex_decompose(
     instance: Instance,
     point: Sequence[Fraction],
     forbidden: Iterable[Matching] = (),
-    candidates: Sequence[Matching] | None = None,
-    max_edges: int = 16,
+    max_edges: int = MAX_STABLE_EDGES,
 ) -> dict[Matching, Fraction] | None:
     """Write a point as a convex combination of stable matchings.
 
     Only matchings outside ``forbidden`` may carry weight. Returns the
-    weights found, or None when no combination exists. ``candidates``
-    overrides the stable enumeration when the caller already has it.
+    weights found, or None when no combination exists.
     """
-    if candidates is None:
-        candidates = enumerate_stable(instance, max_edges)
     banned = {m for m in forbidden}
-    allowed = [m for m in candidates if m not in banned]
+    allowed = [m for m in enumerate_stable(instance, max_edges) if m not in banned]
     columns = instance.canonical_edges()
     if len(point) != len(columns):
         raise ValueError("point dimension does not match the edge count")
@@ -203,7 +199,7 @@ def _exact_adjacency(
 
 
 def are_adjacent(
-    instance: Instance, m1: Matching, m2: Matching, max_edges: int = 16
+    instance: Instance, m1: Matching, m2: Matching, max_edges: int = MAX_STABLE_EDGES
 ) -> bool:
     adjacent, _, _ = _exact_adjacency(instance, m1, m2, max_edges)
     return adjacent
@@ -237,9 +233,6 @@ class AdjacencyVerdict:
             )
 
     def to_json(self, instance: Instance) -> dict:
-        def label(m: Matching) -> str:
-            return ", ".join(instance.edge_name(e) for e in m.sorted_edges()) or "(empty)"
-
         return {
             "adjacent": self.adjacent,
             "uniformly_oriented": self.uniform,
@@ -249,15 +242,15 @@ class AdjacencyVerdict:
                 "edge": instance.edge_name(self.witness.edge),
                 "dominant": self.witness.dominant,
             },
-            "rival_maxima": {label(m): str(v) for m, v in self.maxima},
+            "rival_maxima": {m.label(instance): str(v) for m, v in self.maxima},
             "alternative": None
             if self.alternative is None
-            else {label(m): str(w) for m, w in self.alternative.items()},
+            else {m.label(instance): str(w) for m, w in self.alternative.items()},
         }
 
 
 def adjacency_verdict(
-    instance: Instance, m1: Matching, m2: Matching, max_edges: int = 16
+    instance: Instance, m1: Matching, m2: Matching, max_edges: int = MAX_STABLE_EDGES
 ) -> AdjacencyVerdict:
     adjacent, maxima, alternative = _exact_adjacency(instance, m1, m2, max_edges)
     return AdjacencyVerdict(

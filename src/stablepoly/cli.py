@@ -3,6 +3,8 @@
 Exit codes: 0 when the requested work succeeded and every checked
 property held, 1 when a checked property failed (an unstable matching,
 a fractional vertex, a vertex/stable mismatch), 2 for unusable input.
+A ``verify`` sweep that skipped an over-limit instance and found no
+mismatch exits 2 as well.
 """
 
 from __future__ import annotations
@@ -10,7 +12,6 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
@@ -23,18 +24,17 @@ from .instances import (
     SIDE_B,
     Instance,
     InstanceError,
+    LimitError,
     exhaustive_complete,
     instance_to_json,
     load_instance,
     parse_weights,
     random_instances,
 )
-from .lattice import enumerate_stable
+from .lattice import MAX_STABLE_EDGES, enumerate_stable
 from .matchings import Matching, blocking_pairs, gale_shapley, is_stable
-from .polytope import build_system
+from .polytope import MAX_VERTEX_COLUMNS, build_system
 from .verification import verify_instance
-
-WORKERS_ENV = "STABLEPOLY_WORKERS"
 
 
 def _emit(data: object, fmt: str, table: str) -> None:
@@ -74,10 +74,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     instance = load_instance(args.instance)
     stable = enumerate_stable(instance, max_edges=args.max_edges)
-    table = "\n".join(
-        f"[{k}] " + (", ".join(instance.edge_name(e) for e in m.sorted_edges()) or "(empty)")
-        for k, m in enumerate(stable)
-    )
+    table = "\n".join(f"[{k}] {m.label(instance)}" for k, m in enumerate(stable))
     _emit(
         {"count": len(stable), "matchings": [m.to_pairs(instance) for m in stable]},
         args.format,
@@ -90,20 +87,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
     instance = load_instance(args.instance)
     matching = _load_matching(instance, args.matching)
     stable = is_stable(instance, matching, cross_check=True)
-    blocking = blocking_pairs(instance, matching)
-    table = (
-        "stable"
-        if stable
-        else "unstable, blocked by: " + ", ".join(instance.edge_name(e) for e in blocking)
-    )
-    _emit(
-        {
-            "stable": stable,
-            "blocking": [instance.edge_name(e) for e in blocking],
-        },
-        args.format,
-        table,
-    )
+    blocking = [instance.edge_name(e) for e in blocking_pairs(instance, matching)]
+    table = "stable" if stable else "unstable, blocked by: " + ", ".join(blocking)
+    _emit({"stable": stable, "blocking": blocking}, args.format, table)
     return 0 if stable else 1
 
 
@@ -175,94 +161,101 @@ def _cmd_adjacency(args: argparse.Namespace) -> int:
         )
     table = "\n".join(
         "{} | {} -> {}{}{}".format(
-            ", ".join(instance.edge_name(e) for e in pairs[i][0].sorted_edges()) or "(empty)",
-            ", ".join(instance.edge_name(e) for e in pairs[i][1].sorted_edges()) or "(empty)",
+            m1.label(instance),
+            m2.label(instance),
             "adjacent" if r["verdict"]["adjacent"] else "not adjacent",
             "" if r["verdict"]["uniformly_oriented"] else ", mixed orientation",
             "" if r["verdict"]["witness"] is None else ", witness " + r["verdict"]["witness"]["edge"],
         )
-        for i, r in enumerate(records)
+        for (m1, m2), r in zip(pairs, records)
     )
     _emit(records, args.format, table or "(fewer than two stable matchings)")
     return 0
 
 
-def _verify_task(payload: tuple[Instance, int]) -> dict | None:
+def _verify_task(payload: tuple[Instance, int]) -> tuple[str, dict | None]:
+    """Tag one outcome "ok", "disagree" or "skipped" (over a size limit)."""
     instance, max_edges = payload
-    result = verify_instance(instance, max_edges=max_edges)
-    return None if result.ok else result.to_json()
+    try:
+        result = verify_instance(instance, max_edges=max_edges)
+    except LimitError as exc:
+        return "skipped", {"instance": instance_to_json(instance), "reason": str(exc)}
+    return ("ok", None) if result.ok else ("disagree", result.to_json())
 
 
-def _tally(outcomes: Iterable[dict | None]) -> tuple[int, list[dict]]:
-    """Count the outcomes and keep the failure records, in order."""
+def _tally(outcomes: Iterable[tuple[str, dict | None]]) -> tuple[int, list[dict], list[dict]]:
+    """Count the compared instances and keep the failure and skip records,
+    in order; a skip record also gets the instance's position in the sweep."""
     checked = 0
     failures: list[dict] = []
-    for outcome in outcomes:
+    skipped: list[dict] = []
+    for index, (tag, record) in enumerate(outcomes):
+        if tag == "skipped":
+            skipped.append({"index": index, **record})
+            continue
         checked += 1
-        if outcome is not None:
-            failures.append(outcome)
-    return checked, failures
+        if tag == "disagree":
+            failures.append(record)
+    return checked, failures, skipped
 
 
-def _instances_for_verify(args: argparse.Namespace) -> Iterator[Instance]:
-    if args.instances:
-        for path in args.instances:
-            yield load_instance(path)
-        return
+def _instance_stream(args: argparse.Namespace) -> Iterator[Instance]:
+    """The instances of the one source given (see ``_add_sources``)."""
+    files = getattr(args, "instances", None)
+    sources = (("instance files", files or None), ("--complete", args.complete), ("--random", args.random))
+    given = [name for name, value in sources if value is not None]
+    if len(given) > 1:
+        raise InstanceError(f"instance sources are mutually exclusive, got {' and '.join(given)}")
+    if files:
+        return (load_instance(path) for path in files)
     if args.complete is not None:
-        yield from exhaustive_complete(args.complete)
-        return
+        return exhaustive_complete(args.complete)
     if args.random is not None:
         stream = random_instances(
             args.a, args.b, args.p, args.seed, skip_edgeless=args.skip_edgeless
         )
-        yield from itertools.islice(stream, args.random)
-        return
+        return itertools.islice(stream, args.random)
+    if files is None:
+        raise InstanceError("give --complete N or --random K")
     raise InstanceError("give instance files, --complete N, or --random K")
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    workers = args.workers
-    if workers is None:
-        workers = int(os.environ.get(WORKERS_ENV, "1"))
-    if workers < 1:
+    if args.workers < 1:
         raise InstanceError("worker count must be at least 1")
-    payloads = ((inst, args.max_edges) for inst in _instances_for_verify(args))
-    if workers == 1:
-        checked, failures = _tally(map(_verify_task, payloads))
+    payloads = ((inst, args.max_edges) for inst in _instance_stream(args))
+    if args.workers == 1:
+        checked, failures, skipped = _tally(map(_verify_task, payloads))
     else:
         # the results are consumed inside the block, so the pool is shut
         # down on every exit path, a raising worker included
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            checked, failures = _tally(pool.map(_verify_task, payloads, chunksize=16))
+        with ProcessPoolExecutor(max_workers=args.workers) as pool:
+            checked, failures, skipped = _tally(pool.map(_verify_task, payloads, chunksize=16))
     if args.quarantine:
         Path(args.quarantine).write_text(
             json.dumps(failures, sort_keys=True, indent=2) + "\n", encoding="utf-8"
         )
+    for record in skipped:
+        print(f"skipped instance {record['index']}: {record['reason']}", file=sys.stderr)
     summary = {
         "checked": checked,
         "ok": checked - len(failures),
         "failures": failures,
+        "skipped": skipped,
     }
     table = (
         f"checked {checked} instances: vertex sets and stable sets agree everywhere"
         if not failures
         else f"checked {checked} instances: {len(failures)} DISAGREE"
     )
+    if skipped:
+        table += f"; skipped {len(skipped)} over a size limit"
     _emit(summary, args.format, table)
-    return 1 if failures else 0
+    return 1 if failures else 2 if skipped else 0
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    if args.complete is not None:
-        stream: Iterator[Instance] = exhaustive_complete(args.complete)
-    else:
-        if args.random is None:
-            raise InstanceError("give --complete N or --random K")
-        stream = itertools.islice(
-            random_instances(args.a, args.b, args.p, args.seed, skip_edgeless=args.skip_edgeless),
-            args.random,
-        )
+    stream = _instance_stream(args)
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
@@ -287,7 +280,13 @@ def _add_format(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_random_options(parser: argparse.ArgumentParser) -> None:
+def _add_sources(parser: argparse.ArgumentParser, files: bool) -> None:
+    """Instance sources, of which a run takes exactly one: instance files
+    (when ``files``), every complete n-by-n instance, or random draws."""
+    if files:
+        parser.add_argument("instances", nargs="*", help="instance files")
+    parser.add_argument("--complete", type=int, help="every complete n-by-n instance")
+    parser.add_argument("--random", type=int, help="this many random instances")
     parser.add_argument("--a", type=int, default=4, help="a-side size for --random")
     parser.add_argument("--b", type=int, default=4, help="b-side size for --random")
     parser.add_argument("--p", type=float, default=0.5, help="edge probability for --random")
@@ -314,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="list every stable matching")
     p.add_argument("instance")
-    p.add_argument("--max-edges", type=int, default=16)
+    p.add_argument("--max-edges", type=int, default=MAX_STABLE_EDGES)
     _add_format(p)
     p.set_defaults(handler=_cmd_enumerate)
 
@@ -334,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("vertices", help="enumerate the extreme points exactly")
     p.add_argument("instance")
-    p.add_argument("--max-edges", type=int, default=10)
+    p.add_argument("--max-edges", type=int, default=MAX_VERTEX_COLUMNS)
     _add_format(p)
     p.set_defaults(handler=_cmd_vertices)
 
@@ -344,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance")
     p.add_argument("--m1", help="first matching file (needs --m2)")
     p.add_argument("--m2", help="second matching file (needs --m1)")
-    p.add_argument("--max-edges", type=int, default=16)
+    p.add_argument("--max-edges", type=int, default=MAX_STABLE_EDGES)
     _add_format(p)
     p.set_defaults(handler=_cmd_adjacency)
 
@@ -352,17 +351,9 @@ def build_parser() -> argparse.ArgumentParser:
         "verify",
         help="compare polytope vertices against stable matchings per instance",
     )
-    p.add_argument("instances", nargs="*", help="instance files")
-    p.add_argument("--complete", type=int, help="verify every complete n-by-n instance")
-    p.add_argument("--random", type=int, help="verify this many random instances")
-    _add_random_options(p)
-    p.add_argument("--max-edges", type=int, default=10)
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help=f"parallel workers (default: ${WORKERS_ENV} or 1)",
-    )
+    _add_sources(p, files=True)
+    p.add_argument("--max-edges", type=int, default=MAX_VERTEX_COLUMNS)
+    p.add_argument("--workers", type=int, default=1, help="parallel worker processes (default 1)")
     p.add_argument(
         "--quarantine",
         help="write failing instances to this JSON file (empty list when clean)",
@@ -371,9 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("generate", help="emit instances as JSON")
-    p.add_argument("--complete", type=int, help="every complete n-by-n instance")
-    p.add_argument("--random", type=int, help="this many random instances")
-    _add_random_options(p)
+    _add_sources(p, files=False)
     p.add_argument("--out", help="directory for one file per instance (default: stdout lines)")
     p.set_defaults(handler=_cmd_generate)
 

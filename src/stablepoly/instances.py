@@ -38,9 +38,6 @@ class Edge(NamedTuple):
     def b_node(self) -> NodeId:
         return NodeId(SIDE_B, self.b)
 
-    def endpoint(self, side: str) -> NodeId:
-        return self.a_node if side == SIDE_A else self.b_node
-
     def other(self, node: NodeId) -> NodeId:
         if node == self.a_node:
             return self.b_node
@@ -51,6 +48,10 @@ class Edge(NamedTuple):
 
 class InstanceError(ValueError):
     """Raised when serialized instance data cannot be interpreted."""
+
+
+class LimitError(ValueError):
+    """Raised when a sound instance is over the size limit of a sweep."""
 
 
 @dataclass(frozen=True)
@@ -227,10 +228,6 @@ def validate(instance: Instance) -> list[str]:
                     f"but {instance.a_names[i]} does not list {instance.b_names[j]}"
                 )
     return problems
-
-
-def is_valid(instance: Instance) -> bool:
-    return not validate(instance)
 
 
 def remove_edge(instance: Instance, edge: Edge) -> Instance:

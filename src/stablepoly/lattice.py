@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .instances import SIDE_A, Edge, Instance, NodeId
+from .instances import SIDE_A, Edge, Instance, LimitError, NodeId
 from .matchings import Matching, blocking_pairs, is_stable, matchings_iter
 
 
@@ -214,14 +214,19 @@ def meet_join(instance: Instance, m1: Matching, m2: Matching) -> tuple[Matching,
     return meet, join
 
 
-def enumerate_stable(instance: Instance, max_edges: int = 16) -> list[Matching]:
+# default edge limit of the exhaustive stable sweep
+MAX_STABLE_EDGES = 16
+
+
+def enumerate_stable(instance: Instance, max_edges: int = MAX_STABLE_EDGES) -> list[Matching]:
     """All stable matchings, by filtering every matching of the instance.
 
-    Refuses instances with more than ``max_edges`` edges; the search space
-    grows too fast beyond that for an exhaustive sweep to stay honest.
+    Refuses instances with more than ``max_edges`` edges (``LimitError``);
+    the search space grows too fast beyond that for an exhaustive sweep to
+    stay honest.
     """
     if len(instance.edges) > max_edges:
-        raise ValueError(
+        raise LimitError(
             f"instance has {len(instance.edges)} edges, limit is {max_edges}"
         )
     stable = [m for m in matchings_iter(instance) if is_stable(instance, m)]

@@ -57,11 +57,12 @@ class Matching:
     def partner(self, node: NodeId) -> NodeId | None:
         return self._partner.get(node)
 
-    def covers(self, node: NodeId) -> bool:
-        return node in self._partner
-
     def sorted_edges(self) -> tuple[Edge, ...]:
         return tuple(sorted(self.edges))
+
+    def label(self, instance: Instance) -> str:
+        """One-line display form: edge names in order, or ``(empty)``."""
+        return ", ".join(instance.edge_name(e) for e in self.sorted_edges()) or "(empty)"
 
     def to_pairs(self, instance: Instance) -> list[list[str]]:
         return [

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .instances import Edge, Instance
+from .instances import Edge, Instance, LimitError
 from .linalg import greedy_independent
 from .matchings import Matching
 from .simplex import LpResult, solve_lp
@@ -132,6 +132,10 @@ class VertexReport:
         }
 
 
+# default column limit of vertex enumeration (ConstraintSystem.enumerate_vertices)
+MAX_VERTEX_COLUMNS = 10
+
+
 @dataclass(frozen=True)
 class ConstraintSystem:
     columns: tuple[Edge, ...]
@@ -157,16 +161,16 @@ class ConstraintSystem:
             constraints.append((list(zip(row.cols, row.coeffs)), row.relation, row.rhs))
         return solve_lp(len(self.columns), constraints, objective, sense)
 
-    def enumerate_vertices(self, max_edges: int = 10) -> VertexReport:
+    def enumerate_vertices(self, max_edges: int = MAX_VERTEX_COLUMNS) -> VertexReport:
         """All extreme points, exact, with a tight-row basis per vertex.
 
         The halfspaces are inserted one by one while the tight sets are
         tracked (``_points_by_incidence``). Systems wider than
-        ``max_edges`` columns are refused, since vertex counts explode
-        with dimension.
+        ``max_edges`` columns are refused (``LimitError``), since vertex
+        counts explode with dimension.
         """
         if len(self.columns) > max_edges:
-            raise ValueError(
+            raise LimitError(
                 f"system has {len(self.columns)} columns, limit is {max_edges}"
             )
         points = _points_by_incidence(self)
@@ -286,11 +290,11 @@ def _points_by_incidence(system: ConstraintSystem) -> list[Point]:
     rows. A cut keeps the satisfied vertices and adds one new vertex per
     polytope edge that crosses the cut; the crossing edges are recognised
     combinatorially, two vertices being adjacent exactly when no third
-    one is tight on everything they are both tight on.
+    one is tight on everything they are both tight on. A row that cuts
+    nothing off, and every row of a zero-width system, is the same update
+    with no vertex outside.
     """
     width = len(system.columns)
-    if width == 0:
-        return [()] if all(row.slack(()) >= 0 for row in system.rows) else []
     sign_row_of: dict[int, int] = {}
     for i, row in enumerate(system.rows):
         if row.is_sign:
@@ -318,12 +322,6 @@ def _points_by_incidence(system: ConstraintSystem) -> list[Point]:
     for i in pending:
         row = system.rows[i]
         slacks = [row.slack(p) for p, _ in verts]
-        if all(s >= 0 for s in slacks):
-            verts = [
-                (p, m | (1 << i) if s == 0 else m)
-                for (p, m), s in zip(verts, slacks)
-            ]
-            continue
         keep: list[tuple[Point, int]] = []
         inside: list[int] = []
         outside: list[int] = []

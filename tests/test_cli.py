@@ -1,4 +1,6 @@
 import json
+import multiprocessing
+from pathlib import Path
 
 import pytest
 
@@ -150,7 +152,7 @@ def test_verify_files(capsys, inst_file, inst4_file):
     code, out, _ = run(capsys, ["verify", inst_file, inst4_file, "--format", "json"])
     assert code == 0
     doc = json.loads(out)
-    assert doc == {"checked": 2, "ok": 2, "failures": []}
+    assert doc == {"checked": 2, "ok": 2, "failures": [], "skipped": []}
 
 
 def test_verify_complete_two(capsys):
@@ -181,31 +183,73 @@ def test_verify_random_deterministic(capsys):
     assert first == second
 
 
-def test_verify_workers_agree(capsys, monkeypatch):
+def test_verify_workers_agree(capsys):
     argv = ["verify", "--complete", "2", "--format", "json"]
     _, serial, _ = run(capsys, argv)
-    monkeypatch.setenv("STABLEPOLY_WORKERS", "2")
-    _, parallel, _ = run(capsys, argv)
+    _, parallel, _ = run(capsys, argv + ["--workers", "2"])
     assert serial == parallel
-    monkeypatch.setenv("STABLEPOLY_WORKERS", "0")
-    code, _, err = run(capsys, argv)
+    code, _, err = run(capsys, argv + ["--workers", "0"])
     assert code == 2 and "worker" in err
+
+
+def _broken_verify(instance, max_edges):
+    raise ValueError("broken verifier")
 
 
 def test_verify_pool_shut_down_when_a_worker_raises(capsys, monkeypatch):
     shutdowns = []
 
     class RecordingPool(cli.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            # forked workers inherit the patched verifier below
+            super().__init__(*args, mp_context=multiprocessing.get_context("fork"), **kwargs)
+
         def shutdown(self, *args, **kwargs):
             shutdowns.append(True)
             super().shutdown(*args, **kwargs)
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
-    # complete 4x4 instances have 16 columns, over the default limit of 10
+    # an error other than an over-limit instance still ends the sweep
+    monkeypatch.setattr(cli, "verify_instance", _broken_verify)
     argv = ["verify", "--random", "2", "--a", "4", "--b", "4", "--p", "1", "--workers", "2"]
     code, _, err = run(capsys, argv)
-    assert code == 2 and "limit is 10" in err
+    assert code == 2 and "broken verifier" in err
     assert shutdowns
+
+
+def test_verify_sweep_skips_over_limit_instances(capsys, tmp_path, inst_file, inst4_file):
+    # opposed4 has 8 columns, over --max-edges 4; the sweep goes on past it
+    target = tmp_path / "quarantine.json"
+    argv = ["verify", inst4_file, inst_file, "--max-edges", "4", "--quarantine", str(target)]
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert json.loads(target.read_text()) == []
+    assert out == (
+        "checked 1 instances: vertex sets and stable sets agree everywhere; "
+        "skipped 1 over a size limit\n"
+    )
+    assert err == "skipped instance 0: system has 8 columns, limit is 4\n"
+    for workers in ("1", "2"):
+        code, out, _ = run(capsys, argv + ["--format", "json", "--workers", workers])
+        assert code == 2
+        doc = json.loads(out)
+        assert (doc["checked"], doc["ok"], doc["failures"]) == (1, 1, [])
+        [skip] = doc["skipped"]
+        assert skip["index"] == 0 and skip["reason"] == "system has 8 columns, limit is 4"
+        assert skip["instance"] == json.loads(Path(inst4_file).read_text())
+
+
+def test_verify_random_sweep_with_over_limit_instances(capsys, tmp_path):
+    # 4x4 draws at p = 0.9 mostly exceed the 10-column vertex limit
+    target = tmp_path / "q.json"
+    argv = ["verify", "--random", "20", "--a", "4", "--b", "4", "--p", "0.9", "--seed", "1"]
+    code, out, err = run(capsys, argv + ["--quarantine", str(target), "--format", "json"])
+    assert code == 2
+    assert json.loads(target.read_text()) == []
+    doc = json.loads(out)
+    assert doc["skipped"] and doc["failures"] == []
+    assert doc["checked"] + len(doc["skipped"]) == 20
+    assert err.count("skipped instance") == len(doc["skipped"])
 
 
 def test_skip_edgeless_without_possible_edges_is_input_error(capsys):
@@ -250,6 +294,17 @@ def test_generate_to_directory(capsys, tmp_path):
     assert [f.name for f in files] == ["instance_00000.json"]
     code, _, _ = run(capsys, ["verify", str(files[0])])
     assert code == 0
+
+
+def test_two_sources_are_input_error(capsys, inst_file):
+    for argv, named in (
+        (["verify", inst_file, "--complete", "2"], "instance files and --complete"),
+        (["verify", "--complete", "2", "--random", "3"], "--complete and --random"),
+        (["generate", "--complete", "1", "--random", "3"], "--complete and --random"),
+    ):
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "mutually exclusive" in err and named in err
 
 
 def test_generate_needs_a_source(capsys):

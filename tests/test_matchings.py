@@ -53,10 +53,15 @@ def test_partner_covers_roundtrip(opposed2):
     assert m.partner(a1) == b1
     assert m.partner(b1) == a1
     assert m.partner(NodeId(SIDE_A, 1)) is None
-    assert m.covers(a1) and not m.covers(NodeId(SIDE_B, 1))
     assert m.sorted_edges() == (Edge(0, 0),)
     assert m.to_pairs(opposed2) == [["a1", "b1"]]
     assert len(m) == 1
+
+
+def test_label(opposed2):
+    m = Matching.from_edges([Edge(1, 1), Edge(0, 0)])
+    assert m.label(opposed2) == "a1 b1, a2 b2"
+    assert Matching.from_edges([]).label(opposed2) == "(empty)"
 
 
 def test_is_stable_golden(opposed2):

@@ -225,6 +225,13 @@ def test_zero_width_system():
     assert [v.point for v in report.vertices] == [()]
 
 
+def test_zero_width_infeasible_system():
+    # 0 >= 1 holds nowhere, so not even the empty point survives
+    system = ConstraintSystem((), (), (Row((), (), ">=", ONE, "bogus", "z"),))
+    assert system.enumerate_vertices().vertices == ()
+    assert basis_points(system) == []
+
+
 def test_optimize_matches_vertex_scan(opposed2):
     system = build_system(opposed2)
     weights = {

@@ -2,8 +2,9 @@ import itertools
 
 import pytest
 
-from stablepoly.instances import Instance, random_instances
-from stablepoly.polytope import build_system
+from stablepoly.instances import Instance, LimitError, random_instances
+from stablepoly.lattice import MAX_STABLE_EDGES, enumerate_stable
+from stablepoly.polytope import MAX_VERTEX_COLUMNS, build_system
 from stablepoly.verification import verify_instance
 
 from oracles import basis_points
@@ -47,6 +48,19 @@ def test_verify_json_shape(opposed2):
 def test_verify_respects_edge_bound(opposed4):
     with pytest.raises(ValueError, match="limit"):
         verify_instance(opposed4, max_edges=4)
+
+
+def test_size_limits_raise_limit_error():
+    # LimitError is a ValueError, so callers that catch ValueError still do
+    assert issubclass(LimitError, ValueError)
+    n = MAX_STABLE_EDGES + 1
+    wide = Instance(1, n, (tuple(range(n)),), ((0,),) * n)  # a star with n edges
+    with pytest.raises(LimitError, match=f"limit is {MAX_STABLE_EDGES}$"):
+        enumerate_stable(wide)
+    with pytest.raises(LimitError, match=f"limit is {MAX_VERTEX_COLUMNS}$"):
+        build_system(wide).enumerate_vertices()
+    with pytest.raises(LimitError):
+        verify_instance(wide)
 
 
 def test_verify_methods_agree(opposed2, opposed4):
