@@ -220,6 +220,23 @@ def _instance_stream(args: argparse.Namespace) -> Iterator[Instance]:
     raise InstanceError("give instance files, --complete N, or --random K")
 
 
+# a pooled sweep sends tasks in chunks of CHUNKSIZE and reads the stream
+# WINDOW_CHUNKS chunks per worker at a time
+CHUNKSIZE = 16
+WINDOW_CHUNKS = 8
+
+
+def _pooled(
+    pool: ProcessPoolExecutor, payloads: Iterator[tuple[Instance, int]], workers: int
+) -> Iterator[tuple[str, dict | None]]:
+    """``_verify_task`` over ``payloads`` on ``pool``, in order, one window
+    at a time: ``pool.map`` submits all of its input before it yields, so
+    handing it the whole stream would hold the whole sweep in memory."""
+    window = WINDOW_CHUNKS * CHUNKSIZE * workers
+    while batch := list(itertools.islice(payloads, window)):
+        yield from pool.map(_verify_task, batch, chunksize=CHUNKSIZE)
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.workers < 1:
         raise InstanceError("worker count must be at least 1")
@@ -230,7 +247,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         # the results are consumed inside the block, so the pool is shut
         # down on every exit path, a raising worker included
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            checked, failures, skipped = _tally(pool.map(_verify_task, payloads, chunksize=16))
+            checked, failures, skipped = _tally(_pooled(pool, payloads, args.workers))
     if args.quarantine:
         Path(args.quarantine).write_text(
             json.dumps(failures, sort_keys=True, indent=2) + "\n", encoding="utf-8"

@@ -8,6 +8,7 @@ queries, optima and vertices are computed in exact rational arithmetic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -21,6 +22,8 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 Point = tuple[Fraction, ...]
+# a point as (integer numerators, positive denominator, tight-row mask)
+_Homogeneous = tuple[tuple[int, ...], int, int]
 
 
 @dataclass(frozen=True)
@@ -40,6 +43,8 @@ class Row:
             raise ValueError(f"unknown relation {self.relation!r}")
         if len(self.cols) != len(self.coeffs):
             raise ValueError("column and coefficient counts differ")
+        if len(set(self.cols)) != len(self.cols):
+            raise ValueError(f"repeated column in {self.cols}")
         object.__setattr__(self, "_unit", all(c == 1 for c in self.coeffs))
 
     @property
@@ -264,7 +269,10 @@ def _upper_bound(system: ConstraintSystem) -> Fraction:
     """A value strictly above the coordinate sum anywhere in the region.
 
     Certified from rows of nonnegative coefficients: such a row caps each
-    of its columns on its own once every variable is nonnegative.
+    of its columns on its own once every variable is nonnegative. A cap
+    below zero leaves the region empty; it counts as zero, so that the
+    bounding simplex keeps a positive size and the insertion still ends
+    with no vertices.
     """
     width = len(system.columns)
     best: list[Fraction | None] = [None] * width
@@ -272,7 +280,7 @@ def _upper_bound(system: ConstraintSystem) -> Fraction:
         if row.relation != "<=" or any(w <= 0 for w in row.coeffs):
             continue
         for c, w in zip(row.cols, row.coeffs):
-            cap = row.rhs / w
+            cap = max(row.rhs / w, ZERO)
             if best[c] is None or cap < best[c]:
                 best[c] = cap
     if any(cap is None for cap in best):
@@ -281,6 +289,22 @@ def _upper_bound(system: ConstraintSystem) -> Fraction:
             "a nonnegative-coefficient cap row for every column"
         )
     return sum(best, ZERO) + 1  # type: ignore[arg-type]
+
+
+def _integer_row(row: Row) -> tuple[tuple[tuple[int, int], ...], int]:
+    """``row`` as ``sum(a * x[c] for c, a in terms) <= rhs`` over the integers.
+
+    Multiplying by the lcm of the row's denominators, and by -1 for a
+    ``>=`` row, scales every slack by one positive factor, so each slack
+    keeps its sign.
+    """
+    scale = math.lcm(row.rhs.denominator, *(w.denominator for w in row.coeffs))
+    if row.relation == ">=":
+        scale = -scale
+    terms = tuple(
+        (c, w.numerator * (scale // w.denominator)) for c, w in zip(row.cols, row.coeffs)
+    )
+    return terms, row.rhs.numerator * (scale // row.rhs.denominator)
 
 
 def _points_by_incidence(system: ConstraintSystem) -> list[Point]:
@@ -293,6 +317,23 @@ def _points_by_incidence(system: ConstraintSystem) -> list[Point]:
     one is tight on everything they are both tight on. A row that cuts
     nothing off, and every row of a zero-width system, is the same update
     with no vertex outside.
+
+    The arithmetic is on integers. Each row is scaled once to integer
+    coefficients and right-hand side (``_integer_row``), and each vertex
+    is held in homogeneous coordinates: integer numerators over one
+    positive integer denominator, the whole vector divided by the gcd of
+    its entries. A slack is then one integer dot product, scaled by a
+    positive factor, so its sign is exact. The vertex born on the edge
+    from ``u`` (slack ``s_u > 0``) to ``w`` (slack ``s_w < 0``) is
+    ``s_u * w - s_w * u``, which has slack zero and a positive
+    denominator. ``Fraction``s are built only for the final points.
+
+    Before the third-vertex scan a pair is dropped when it shares fewer
+    than ``width - 1`` tight rows. That is sound: the rows tight on an
+    edge of the current polytope cut out its affine hull, a line, so at
+    least ``width - 1`` of them are independent, and the endpoints of an
+    edge are tight on all of them. The scan would reject such a pair
+    anyway; the count only spares it.
     """
     width = len(system.columns)
     sign_row_of: dict[int, int] = {}
@@ -309,55 +350,58 @@ def _points_by_incidence(system: ConstraintSystem) -> list[Point]:
     all_signs = 0
     for i in sign_row_of.values():
         all_signs |= 1 << i
-    origin: Point = tuple(ZERO for _ in range(width))
-    verts: list[tuple[Point, int]] = [(origin, all_signs)]
+    verts: list[_Homogeneous] = [((0,) * width, 1, all_signs)]
     for j in range(width):
-        spike = tuple(bound if k == j else ZERO for k in range(width))
+        spike = tuple(bound.numerator if k == j else 0 for k in range(width))
         mask = (all_signs & ~(1 << sign_row_of[j])) | (1 << synthetic)
-        verts.append((spike, mask))
+        verts.append((spike, bound.denominator, mask))
 
     pending = [
         i for i, row in enumerate(system.rows) if i not in sign_row_of.values()
     ]
     for i in pending:
-        row = system.rows[i]
-        slacks = [row.slack(p) for p, _ in verts]
-        keep: list[tuple[Point, int]] = []
+        terms, rhs = _integer_row(system.rows[i])
+        slacks = [rhs * d - sum(a * n[c] for c, a in terms) for n, d, _ in verts]
+        keep: list[_Homogeneous] = []
         inside: list[int] = []
         outside: list[int] = []
-        for k, ((p, m), s) in enumerate(zip(verts, slacks)):
+        for k, ((n, d, m), s) in enumerate(zip(verts, slacks)):
             if s > 0:
                 inside.append(k)
-                keep.append((p, m))
+                keep.append((n, d, m))
             elif s == 0:
-                keep.append((p, m | (1 << i)))
+                keep.append((n, d, m | (1 << i)))
             else:
                 outside.append(k)
-        born: list[tuple[Point, int]] = []
+        born: list[_Homogeneous] = []
         for u in inside:
-            pu, mu = verts[u]
+            nu, du, mu = verts[u]
             su = slacks[u]
             for w in outside:
-                pw, mw = verts[w]
+                nw, dw, mw = verts[w]
                 shared = mu & mw
+                if shared.bit_count() < width - 1:
+                    continue
                 adjacent = True
-                for z, (_, mz) in enumerate(verts):
+                for z, (_, _, mz) in enumerate(verts):
                     if z != u and z != w and shared & ~mz == 0:
                         adjacent = False
                         break
                 if not adjacent:
                     continue
-                t = su / (su - slacks[w])
-                point = tuple(a + t * (b - a) for a, b in zip(pu, pw))
-                born.append((point, shared | (1 << i)))
+                sw = slacks[w]
+                num = [su * b - sw * a for a, b in zip(nu, nw)]
+                den = su * dw - sw * du
+                g = math.gcd(den, *num)
+                born.append((tuple(x // g for x in num), den // g, shared | (1 << i)))
         # An empty list here means the region itself is empty; that is a
         # legal outcome for a general system and simply yields no vertices.
         verts = keep + born
     points: list[Point] = []
-    for p, m in verts:
+    for n, d, m in verts:
         if m >> synthetic & 1:
             raise AssertionError(
                 "bounding facet still tight after all rows were inserted"
             )
-        points.append(p)
+        points.append(tuple(Fraction(x, d) for x in n))
     return points

@@ -217,6 +217,43 @@ def test_verify_pool_shut_down_when_a_worker_raises(capsys, monkeypatch):
     assert shutdowns
 
 
+def test_verify_pool_reads_one_window_ahead(capsys, monkeypatch):
+    # the pool is fed the stream a window at a time, so the parent never
+    # holds more than one window of instances beyond what it has tallied
+    drawn = 0
+    leads = []
+    stream, tally = cli._instance_stream, cli._tally
+
+    def counting_stream(args):
+        nonlocal drawn
+        for inst in stream(args):
+            drawn += 1
+            yield inst
+
+    def watching_tally(outcomes):
+        def watched():
+            for k, outcome in enumerate(outcomes):
+                leads.append(drawn - k)
+                yield outcome
+
+        return tally(watched())
+
+    monkeypatch.setattr(cli, "_instance_stream", counting_stream)
+    monkeypatch.setattr(cli, "_tally", watching_tally)
+    window = cli.WINDOW_CHUNKS * cli.CHUNKSIZE * 2
+    count = 2 * window + 5
+    # 4-edge draws are over --max-edges 3, so skips fall in every window
+    argv = ["verify", "--random", str(count), "--a", "2", "--b", "2", "--p", "0.8",
+            "--seed", "5", "--max-edges", "3", "--format", "json"]
+    code, pooled, _ = run(capsys, argv + ["--workers", "2"])
+    assert code == 2
+    assert drawn == count and len(leads) == count
+    assert max(leads) <= window
+    skipped = [record["index"] for record in json.loads(pooled)["skipped"]]
+    assert skipped[0] < window < skipped[-1]
+    assert run(capsys, argv)[:2] == (code, pooled)
+
+
 def test_verify_sweep_skips_over_limit_instances(capsys, tmp_path, inst_file, inst4_file):
     # opposed4 has 8 columns, over --max-edges 4; the sweep goes on past it
     target = tmp_path / "quarantine.json"

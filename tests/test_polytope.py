@@ -1,4 +1,7 @@
+import hashlib
 import itertools
+import json
+import random
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -11,6 +14,7 @@ from stablepoly.matchings import Matching
 from stablepoly.polytope import ConstraintSystem, Row, build_system
 
 from oracles import basis_points, cover_pairs, rank
+from test_acceptance import complete3
 
 F = Fraction
 ZERO, ONE, HALF = F(0), F(1), F(1, 2)
@@ -50,6 +54,9 @@ def test_row_validation_and_evaluation():
         Row((0,), (ONE,), "<", ONE, "degree", "n")
     with pytest.raises(ValueError):
         Row((0, 1), (ONE,), "<=", ONE, "degree", "n")
+    # a repeated column would be summed by value() but overwritten by dense()
+    with pytest.raises(ValueError, match="repeated column"):
+        Row((0, 0), (ONE, ONE), "<=", ONE, "degree", "n")
     assert Row((0,), (ONE,), ">=", ZERO, "nonneg", "x").is_sign
     assert not Row((0,), (F(2),), ">=", ZERO, "nonneg", "x").is_sign
     assert not Row((0,), (ONE,), ">=", ONE, "nonneg", "x").is_sign
@@ -171,6 +178,84 @@ def test_methods_agree_on_random_instances():
     assert checked >= 15
 
 
+def rational_system(rng, width):
+    """A bounded system with non-unit rational coefficients.
+
+    Explicit sign rows and one positive cap row per column keep the region
+    bounded (and certifiable by ``_upper_bound``); the extra rows have
+    mixed-sign coefficients and fractional right-hand sides, so they may
+    cut the region down to nothing.
+    """
+
+    def ratio(low, high):
+        return F(rng.choice([k for k in range(low, high + 1) if k]), rng.randint(1, 5))
+
+    rows = [Row((j,), (ONE,), ">=", ZERO, "nonneg", f"x{j}") for j in range(width)]
+    for j in range(width):
+        cols = tuple(sorted({j} | set(rng.sample(range(width), rng.randint(0, width - 1)))))
+        coeffs = tuple(ratio(1, 4) for _ in cols)
+        rows.append(Row(cols, coeffs, "<=", ratio(1, 6), "degree", f"cap{j}"))
+    for k in range(rng.randint(1, 3)):
+        cols = tuple(sorted(rng.sample(range(width), rng.randint(1, width))))
+        coeffs = tuple(ratio(-4, 4) for _ in cols)
+        relation = rng.choice(("<=", ">="))
+        rows.append(Row(cols, coeffs, relation, ratio(-3, 6), "extra", f"r{k}"))
+    columns = tuple(Edge(0, j) for j in range(width))
+    return ConstraintSystem(columns, tuple(f"x{j}" for j in range(width)), tuple(rows))
+
+
+def test_rational_rows_match_oracle():
+    # build_system only makes 0/1 rows; these reach the per-row scaling
+    rng = random.Random(4409)
+    nonempty = fractional = 0
+    for _ in range(120):
+        system = rational_system(rng, rng.randint(1, 4))
+        points = [v.point for v in system.enumerate_vertices().vertices]
+        assert points == basis_points(system)
+        nonempty += bool(points)
+        fractional += any(x.denominator > 2 for p in points for x in p)
+    assert nonempty >= 50 and fractional >= 45
+    # the triangle once more, its caps written in thirds: still the
+    # all-halves corner
+    third = F(1, 3)
+    rows = tuple(
+        r if r.is_sign else Row(r.cols, (third,) * len(r.cols), "<=", third, r.kind, r.subject)
+        for r in triangle_system().rows
+    )
+    system = ConstraintSystem(triangle_system().columns, ("x", "y", "z"), rows)
+    points = [v.point for v in system.enumerate_vertices().vertices]
+    assert (HALF, HALF, HALF) in points
+    assert points == basis_points(system)
+
+
+def report_digest(instances):
+    h = hashlib.sha256()
+    for inst in instances:
+        doc = build_system(inst).enumerate_vertices().to_json()
+        h.update(json.dumps(doc, sort_keys=True).encode() + b"\n")
+    return h.hexdigest()
+
+
+def test_vertex_report_bytes_golden():
+    # digests of the reports written by the Fraction-arithmetic insertion
+    # loop that the integer one replaced; complete 3x3 systems are the most
+    # degenerate, so a vertex lost to a wrong shortcut shows there first
+    picks = sorted(random.Random(5101).sample(range(6**6), 150))
+    small = []
+    for a, b, p, seed in ((3, 3, 0.8, 5102), (3, 4, 0.7, 5103), (4, 4, 0.6, 5104)):
+        stream = random_instances(a, b, p, seed)
+        small.extend(itertools.islice((i for i in stream if len(i.canonical_edges()) <= 10), 40))
+    assert report_digest(exhaustive_complete(2)) == (
+        "9c4ac2b5b2eb73ce7477b6b43106298211ae5f52eae38ba22e4c7f4e554ac347"
+    )
+    assert report_digest(complete3(k) for k in picks) == (
+        "67a1fbee376c0aba02c25e3cda7a20c1cdac93ee171b8b2d99c969482169f14d"
+    )
+    assert report_digest(small) == (
+        "2c956a10e9d1d5376df6e43fa2c197cc8acc395edf8962f27156c60e06e4b233"
+    )
+
+
 def test_enumerate_vertices_bounds(opposed4):
     system = build_system(opposed4)
     with pytest.raises(ValueError, match="limit"):
@@ -215,6 +300,21 @@ def test_oracles_stay_independent():
     assert not [line for line in imports if re.search(r"\blinalg\b", line)]
     for name in ("enumerate_vertices", "_points_by_incidence"):
         assert not re.search(rf"\b{name}\b", src), name
+
+
+def test_negative_cap_leaves_no_vertices():
+    # x + y/2 <= -1 caps both columns below zero; the bounding simplex
+    # must still have a positive size for the insertion to end empty
+    half = F(1, 2)
+    rows = (
+        Row((0,), (ONE,), ">=", ZERO, "nonneg", "x"),
+        Row((1,), (ONE,), ">=", ZERO, "nonneg", "y"),
+        Row((0, 1), (ONE, half), "<=", F(4), "degree", "p"),
+        Row((0, 1), (ONE, half), "<=", -ONE, "extra", "q"),
+    )
+    system = ConstraintSystem((Edge(0, 0), Edge(0, 1)), ("x", "y"), rows)
+    assert system.enumerate_vertices().vertices == ()
+    assert basis_points(system) == []
 
 
 def test_zero_width_system():
