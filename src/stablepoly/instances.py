@@ -371,6 +371,9 @@ def instance_from_json(data: object) -> Instance:
             indices = []
             seen: set[str] = set()
             for entry in row:
+                if not isinstance(entry, str):
+                    problems.append(f"prefs of {name} list {entry!r}, not a node name")
+                    continue
                 if entry not in other_index:
                     if entry in names:
                         problems.append(f"cross-side preference: {name} lists {entry}")

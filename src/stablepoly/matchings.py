@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .instances import SIDE_A, SIDE_B, Edge, Instance, NodeId
 
@@ -30,16 +30,17 @@ class Matching:
         return cls(frozenset(edges))
 
     @classmethod
-    def from_pairs(cls, instance: Instance, pairs: Iterable[Iterable[str]]) -> "Matching":
-        """Build from name pairs, each pair one a-side and one b-side name."""
+    def from_pairs(cls, instance: Instance, pairs: Iterable[Sequence[str]]) -> "Matching":
+        """Build from name pairs, each a list or tuple of one a-side and one
+        b-side name; any other entry raises ``ValueError``."""
         edges = []
-        for pair in pairs:
-            try:
-                names = list(pair)
-            except TypeError:
-                names = [pair]
-            if len(names) != 2:
-                raise ValueError(f"matching entry {names!r} is not a pair")
+        for names in pairs:
+            if not (
+                isinstance(names, (list, tuple))
+                and len(names) == 2
+                and all(isinstance(x, str) for x in names)
+            ):
+                raise ValueError(f"matching entry {names!r} is not a pair of names")
             try:
                 u = instance.node_by_name(names[0])
                 v = instance.node_by_name(names[1])

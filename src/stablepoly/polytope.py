@@ -9,7 +9,7 @@ queries, optima and vertices are computed in exact rational arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -36,7 +36,6 @@ class Row:
     rhs: Fraction
     kind: str
     subject: str
-    _unit: bool = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.relation not in ("<=", ">="):
@@ -45,7 +44,6 @@ class Row:
             raise ValueError("column and coefficient counts differ")
         if len(set(self.cols)) != len(self.cols):
             raise ValueError(f"repeated column in {self.cols}")
-        object.__setattr__(self, "_unit", all(c == 1 for c in self.coeffs))
 
     @property
     def is_sign(self) -> bool:
@@ -57,19 +55,6 @@ class Row:
             and self.rhs == 0
             and self.relation == ">="
         )
-
-    def value(self, point: Sequence[Fraction]) -> Fraction:
-        if self._unit:
-            return sum((point[c] for c in self.cols), ZERO)
-        return sum((w * point[c] for c, w in zip(self.cols, self.coeffs)), ZERO)
-
-    def slack(self, point: Sequence[Fraction]) -> Fraction:
-        """Nonnegative exactly on the feasible side, zero when tight."""
-        v = self.value(point)
-        return self.rhs - v if self.relation == "<=" else v - self.rhs
-
-    def is_tight(self, point: Sequence[Fraction]) -> bool:
-        return self.value(point) == self.rhs
 
     def dense(self, width: int) -> list[Fraction]:
         out = [ZERO] * width
@@ -170,7 +155,8 @@ class ConstraintSystem:
         """All extreme points, exact, with a tight-row basis per vertex.
 
         The halfspaces are inserted one by one while the tight sets are
-        tracked (``_points_by_incidence``). Systems wider than
+        tracked (``_points_by_incidence``); each vertex's certificate is
+        read off the tight set the insertion ends with. Systems wider than
         ``max_edges`` columns are refused (``LimitError``), since vertex
         counts explode with dimension.
         """
@@ -179,11 +165,10 @@ class ConstraintSystem:
                 f"system has {len(self.columns)} columns, limit is {max_edges}"
             )
         points = _points_by_incidence(self)
-        vertices = tuple(self._describe(p) for p in sorted(points))
+        vertices = tuple(self._describe(p, tight) for p, tight in sorted(points))
         return VertexReport(self.columns, self.column_names, vertices)
 
-    def _describe(self, point: Point) -> Vertex:
-        tight = tuple(i for i, row in enumerate(self.rows) if row.is_tight(point))
+    def _describe(self, point: Point, tight: tuple[int, ...]) -> Vertex:
         width = len(self.columns)
         basis_pick = greedy_independent([self.rows[i].dense(width) for i in tight], width)
         if basis_pick is None:
@@ -307,9 +292,10 @@ def _integer_row(row: Row) -> tuple[tuple[tuple[int, int], ...], int]:
     return terms, row.rhs.numerator * (scale // row.rhs.denominator)
 
 
-def _points_by_incidence(system: ConstraintSystem) -> list[Point]:
-    """Insert halfspaces one at a time into a bounding simplex.
+def _points_by_incidence(system: ConstraintSystem) -> list[tuple[Point, tuple[int, ...]]]:
+    """Every vertex, with the indices of the rows tight at it.
 
+    The halfspaces are inserted one at a time into a bounding simplex.
     Every intermediate vertex carries the exact bit set of its tight
     rows. A cut keeps the satisfied vertices and adds one new vertex per
     polytope edge that crosses the cut; the crossing edges are recognised
@@ -334,6 +320,13 @@ def _points_by_incidence(system: ConstraintSystem) -> list[Point]:
     least ``width - 1`` of them are independent, and the endpoints of an
     edge are tight on all of them. The scan would reject such a pair
     anyway; the count only spares it.
+
+    The masks stay exact, so the tight rows of each vertex are read off
+    its final mask. The seed masks are exact on the sign rows, and a kept
+    vertex gains a row's bit exactly when its slack is zero. A vertex
+    born on an edge lies strictly between two vertices that satisfy every
+    earlier row, so such a row is tight at it only if it is tight at both
+    ends.
     """
     width = len(system.columns)
     sign_row_of: dict[int, int] = {}
@@ -397,11 +390,12 @@ def _points_by_incidence(system: ConstraintSystem) -> list[Point]:
         # An empty list here means the region itself is empty; that is a
         # legal outcome for a general system and simply yields no vertices.
         verts = keep + born
-    points: list[Point] = []
+    points: list[tuple[Point, tuple[int, ...]]] = []
     for n, d, m in verts:
         if m >> synthetic & 1:
             raise AssertionError(
                 "bounding facet still tight after all rows were inserted"
             )
-        points.append(tuple(Fraction(x, d) for x in n))
+        tight = tuple(i for i in range(synthetic) if m >> i & 1)
+        points.append((tuple(Fraction(x, d) for x in n), tight))
     return points

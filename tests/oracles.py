@@ -88,6 +88,12 @@ def max_weight_stable(instance, weights):
 # -- vertex reference route --------------------------------------------
 
 
+def slack(row, point):
+    """The slack of ``row`` at ``point``: negative outside, zero when tight."""
+    value = sum((w * point[c] for c, w in zip(row.cols, row.coeffs)), Fraction(0))
+    return row.rhs - value if row.relation == "<=" else value - row.rhs
+
+
 def solve_square(matrix, rhs):
     """Solve a square system exactly by Gauss-Jordan; None when singular."""
     n = len(matrix)
@@ -144,16 +150,9 @@ def basis_points(system):
             out[c] = w
         return out
 
-    def feasible(point):
-        for row in system.rows:
-            value = sum((w * point[c] for c, w in zip(row.cols, row.coeffs)), Fraction(0))
-            if (value > row.rhs) if row.relation == "<=" else (value < row.rhs):
-                return False
-        return True
-
     found = set()
     for subset in combinations(system.rows, width):
         solution = solve_square([dense(row) for row in subset], [row.rhs for row in subset])
-        if solution is not None and feasible(solution):
+        if solution is not None and all(slack(row, solution) >= 0 for row in system.rows):
             found.add(tuple(solution))
     return sorted(found)

@@ -64,10 +64,17 @@ def test_check_exit_codes(capsys, tmp_path, inst_file):
     doc = json.loads(out)
     assert doc["stable"] is False
     assert doc["blocking"] == ["a2 b1", "a2 b2"]
+    # the string "ab" is not the pair (a, b), even where a and b are names
+    inst = tmp_path / "inst_ab.json"
+    inst.write_text(json.dumps({"a": ["a"], "b": ["b"], "prefs": {"a": ["b"], "b": ["a"]}}))
+    code, out, err = run(capsys, ["check", str(inst), write_matching(tmp_path, "m_ab.json", ["ab"])])
+    assert code == 2 and out == "" and err.startswith("error:")
 
 
 @pytest.mark.parametrize(
-    "pairs", [[["a1", "zz"]], [5], [["a1", "b1", "b2"]]], ids=["unknown", "scalar", "triple"]
+    "pairs",
+    [[["a1", "zz"]], [5], [["a1", "b1", "b2"]], ["ab"], [{"a1": 1, "b1": 2}]],
+    ids=["unknown", "scalar", "triple", "string", "object"],
 )
 def test_bad_matching_file_is_input_error(capsys, tmp_path, inst_file, pairs):
     # exit 1 means "unstable"; a malformed matching is unusable input
@@ -354,3 +361,10 @@ def test_unreadable_file_is_input_error(capsys, tmp_path):
     code, _, err = run(capsys, ["solve", str(tmp_path / "missing.json")])
     assert code == 2
     assert "error:" in err
+    # a preference entry that is a list or an object is unusable input
+    path = tmp_path / "bad.json"
+    for entry in (["b1"], {"b1": 1}):
+        path.write_text(json.dumps({"a": ["a1"], "b": ["b1"], "prefs": {"a1": [entry], "b1": ["a1"]}}))
+        code, out, err = run(capsys, ["enumerate", str(path)])
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "not a node name" in err

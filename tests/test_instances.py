@@ -179,6 +179,10 @@ def test_json_rejects_malformed():
         instance_from_json({"a": ["x"], "b": ["x"], "prefs": {}})
     with pytest.raises(InstanceError):
         instance_from_json({"a": ["x"], "b": ["y"], "prefs": {"x": ["z"]}})
+    # a list or an object in a preference list is a problem, not a crash
+    for entry in (["y"], {"y": 1}):
+        with pytest.raises(InstanceError, match="not a node name"):
+            instance_from_json({"a": ["x"], "b": ["y"], "prefs": {"x": [entry], "y": ["x"]}})
     # one-sided listing is reported as a mismatch
     with pytest.raises(InstanceError, match="mismatch"):
         instance_from_json({"a": ["x"], "b": ["y"], "prefs": {"x": ["y"]}})

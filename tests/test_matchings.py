@@ -4,6 +4,7 @@ import pytest
 
 from stablepoly.instances import (
     Edge,
+    Instance,
     NodeId,
     SIDE_A,
     SIDE_B,
@@ -37,8 +38,12 @@ def test_from_pairs_validates(opposed2):
         Matching.from_pairs(opposed2, [["a1", "a2"]])
     with pytest.raises(ValueError, match="unknown node"):
         Matching.from_pairs(opposed2, [["a1", "b9"]])
+    # a string or an object is not read as the sequence of its letters or keys
+    for entry in (5, "ab", {"a1": 1, "b1": 2}, ["a1", 5], ("a1",)):
+        with pytest.raises(ValueError, match="not a pair"):
+            Matching.from_pairs(opposed2, [entry])
     with pytest.raises(ValueError, match="not a pair"):
-        Matching.from_pairs(opposed2, [5])
+        Matching.from_pairs(Instance(1, 1, ((0,),), ((0,),), ("a",), ("b",)), ["ab"])
 
 
 def test_from_pairs_requires_instance_edges(opposed4):

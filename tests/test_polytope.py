@@ -13,7 +13,7 @@ from stablepoly.lattice import enumerate_stable
 from stablepoly.matchings import Matching
 from stablepoly.polytope import ConstraintSystem, Row, build_system
 
-from oracles import basis_points, cover_pairs, rank
+from oracles import basis_points, cover_pairs, rank, slack
 from test_acceptance import complete3
 
 F = Fraction
@@ -41,20 +41,20 @@ def triangle_system():
 
 def violated_rows(system, point):
     """Indices of the rows ``point`` fails, read straight off the slacks."""
-    return [i for i, row in enumerate(system.rows) if row.slack(point) < 0]
+    return [i for i, row in enumerate(system.rows) if slack(row, point) < 0]
 
 
 def test_row_validation_and_evaluation():
     row = Row((0, 2), (ONE, F(2)), "<=", F(3), "degree", "n")
-    assert row.value((ONE, F(9), HALF)) == F(2)
-    assert row.slack((ONE, F(9), ONE)) == ZERO
-    assert row.is_tight((ONE, F(9), ONE))
+    assert slack(row, (ONE, F(9), HALF)) == ONE
+    assert slack(row, (ONE, F(9), ONE)) == ZERO
+    assert slack(Row((0,), (HALF,), ">=", ONE, "stability", "n"), (ONE,)) == -HALF
     assert row.dense(3) == [ONE, ZERO, F(2)]
     with pytest.raises(ValueError):
         Row((0,), (ONE,), "<", ONE, "degree", "n")
     with pytest.raises(ValueError):
         Row((0, 1), (ONE,), "<=", ONE, "degree", "n")
-    # a repeated column would be summed by value() but overwritten by dense()
+    # a repeated column would be overwritten by dense()
     with pytest.raises(ValueError, match="repeated column"):
         Row((0, 0), (ONE, ONE), "<=", ONE, "degree", "n")
     assert Row((0,), (ONE,), ">=", ZERO, "nonneg", "x").is_sign
@@ -136,16 +136,6 @@ def test_vertices_single_edge(single_edge):
     assert report.vertices[0].integral
 
 
-def test_vertex_basis_is_tight_and_full_rank(opposed2):
-    system = build_system(opposed2)
-    for vertex in system.enumerate_vertices().vertices:
-        assert set(vertex.basis) <= set(vertex.tight)
-        dense = [system.rows[i].dense(len(system.columns)) for i in vertex.basis]
-        assert rank(dense) == len(system.columns)
-        for i in vertex.tight:
-            assert system.rows[i].is_tight(vertex.point)
-
-
 def test_fractional_vertex_detected_by_both_methods():
     system = triangle_system()
     report = system.enumerate_vertices()
@@ -204,6 +194,15 @@ def rational_system(rng, width):
     return ConstraintSystem(columns, tuple(f"x{j}" for j in range(width)), tuple(rows))
 
 
+def thirds_triangle():
+    third = F(1, 3)
+    rows = tuple(
+        r if r.is_sign else Row(r.cols, (third,) * len(r.cols), "<=", third, r.kind, r.subject)
+        for r in triangle_system().rows
+    )
+    return ConstraintSystem(triangle_system().columns, ("x", "y", "z"), rows)
+
+
 def test_rational_rows_match_oracle():
     # build_system only makes 0/1 rows; these reach the per-row scaling
     rng = random.Random(4409)
@@ -217,15 +216,33 @@ def test_rational_rows_match_oracle():
     assert nonempty >= 50 and fractional >= 45
     # the triangle once more, its caps written in thirds: still the
     # all-halves corner
-    third = F(1, 3)
-    rows = tuple(
-        r if r.is_sign else Row(r.cols, (third,) * len(r.cols), "<=", third, r.kind, r.subject)
-        for r in triangle_system().rows
-    )
-    system = ConstraintSystem(triangle_system().columns, ("x", "y", "z"), rows)
+    system = thirds_triangle()
     points = [v.point for v in system.enumerate_vertices().vertices]
     assert (HALF, HALF, HALF) in points
     assert points == basis_points(system)
+
+
+def assert_certificates_match_oracle(system):
+    width = len(system.columns)
+    for vertex in system.enumerate_vertices().vertices:
+        tight = [i for i, row in enumerate(system.rows) if slack(row, vertex.point) == 0]
+        assert list(vertex.tight) == tight
+        assert set(vertex.basis) <= set(vertex.tight)
+        assert len(vertex.basis) == width
+        assert rank([system.rows[i].dense(width) for i in vertex.basis]) == width
+
+
+def test_vertex_basis_is_tight_and_full_rank():
+    # the certificates come from the insertion's tight-row masks; the
+    # oracle recomputes each tight set from the raw rows
+    for inst in exhaustive_complete(2):
+        assert_certificates_match_oracle(build_system(inst))
+    for k in sorted(random.Random(5105).sample(range(6**6), 60)):
+        assert_certificates_match_oracle(build_system(complete3(k)))
+    rng = random.Random(4409)
+    for _ in range(120):
+        assert_certificates_match_oracle(rational_system(rng, rng.randint(1, 4)))
+    assert_certificates_match_oracle(thirds_triangle())
 
 
 def report_digest(instances):
