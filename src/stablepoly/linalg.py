@@ -1,17 +1,33 @@
-"""Exact linear algebra over rationals for vertex certificates."""
+"""Exact linear algebra over rationals, carried out on integers.
+
+A rational vector is scaled once to integers by the lcm of its
+denominators (``scale_to_integers``); the simplex, vertex enumeration
+and the basis pick below all start from it. Elimination then runs on
+integers: linear independence does not depend on a positive scale, so
+the indices picked are the rational ones.
+"""
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
 
-def _reduce(vector: list[Fraction], basis: list[tuple[int, list[Fraction]]]) -> list[Fraction]:
+def scale_to_integers(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """``values`` times the lcm of their denominators, and that lcm."""
+    # a list, not a generator: unpacking a generator builds a resized
+    # tuple, and those pile up on the interpreter's tuple free lists
+    scale = math.lcm(*[x.denominator for x in values])
+    return [x.numerator * (scale // x.denominator) for x in values], scale
+
+
+def _reduce(vector: list[int], basis: list[tuple[int, list[int]]]) -> list[int]:
     for pivot_col, pivot_vec in basis:
         factor = vector[pivot_col]
         if factor:
-            scale = factor / pivot_vec[pivot_col]
-            vector = [a - scale * b for a, b in zip(vector, pivot_vec)]
+            head = pivot_vec[pivot_col]
+            vector = [head * a - factor * b for a, b in zip(vector, pivot_vec)]
     return vector
 
 
@@ -22,14 +38,16 @@ def greedy_independent(vectors: Sequence[Sequence[Fraction]], need: int) -> list
     """
     if need == 0:
         return []
-    basis: list[tuple[int, list[Fraction]]] = []
+    basis: list[tuple[int, list[int]]] = []
     chosen: list[int] = []
     for idx, raw in enumerate(vectors):
-        vec = _reduce(list(raw), basis)
+        vec = _reduce(scale_to_integers(raw)[0], basis)
         pivot = next((k for k, x in enumerate(vec) if x != 0), None)
         if pivot is None:
             continue
-        basis.append((pivot, vec))
+        # dividing out the content keeps entries from growing with the basis
+        content = math.gcd(*vec)
+        basis.append((pivot, [x // content for x in vec]))
         chosen.append(idx)
         if len(chosen) == need:
             return chosen

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .instances import Edge, Instance, LimitError
-from .linalg import greedy_independent
+from .linalg import greedy_independent, scale_to_integers
 from .matchings import Matching
 from .simplex import LpResult, solve_lp
 
@@ -283,13 +283,10 @@ def _integer_row(row: Row) -> tuple[tuple[tuple[int, int], ...], int]:
     ``>=`` row, scales every slack by one positive factor, so each slack
     keeps its sign.
     """
-    scale = math.lcm(row.rhs.denominator, *(w.denominator for w in row.coeffs))
+    values, _ = scale_to_integers((*row.coeffs, row.rhs))
     if row.relation == ">=":
-        scale = -scale
-    terms = tuple(
-        (c, w.numerator * (scale // w.denominator)) for c, w in zip(row.cols, row.coeffs)
-    )
-    return terms, row.rhs.numerator * (scale // row.rhs.denominator)
+        values = [-v for v in values]
+    return tuple(zip(row.cols, values)), values[-1]
 
 
 def _points_by_incidence(system: ConstraintSystem) -> list[tuple[Point, tuple[int, ...]]]:

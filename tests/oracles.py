@@ -8,6 +8,7 @@ clarity beats speed throughout.
 
 from fractions import Fraction
 from itertools import combinations
+from types import SimpleNamespace
 
 
 def edge_pairs(instance):
@@ -156,3 +157,153 @@ def basis_points(system):
         if solution is not None and all(slack(row, solution) >= 0 for row in system.rows):
             found.add(tuple(solution))
     return sorted(found)
+
+
+# -- linear programming reference route ---------------------------------
+
+
+def _fraction_pivot(tableau, cost, row, col):
+    head = tableau[row][col]
+    tableau[row] = [x / head for x in tableau[row]]
+    pivot_row = tableau[row]
+    for r, other in enumerate(tableau):
+        if r == row:
+            continue
+        factor = other[col]
+        if factor:
+            tableau[r] = [a - factor * b for a, b in zip(other, pivot_row)]
+    factor = cost[col]
+    if factor:
+        cost[:] = [a - factor * b for a, b in zip(cost, pivot_row)]
+
+
+def _fraction_iterate(tableau, basis, cost, usable, log):
+    while True:
+        enter = next((j for j in range(usable) if cost[j] < 0), None)
+        if enter is None:
+            return "optimal"
+        best_key = None
+        best_row = -1
+        for i, row in enumerate(tableau):
+            coeff = row[enter]
+            if coeff > 0:
+                key = (row[-1] / coeff, basis[i])
+                if best_key is None or key < best_key:
+                    best_key = key
+                    best_row = i
+        if best_key is None:
+            return "unbounded"
+        log.append(("step", best_row, enter, tableau[best_row][enter]))
+        _fraction_pivot(tableau, cost, best_row, enter)
+        basis[best_row] = enter
+
+
+def fraction_solve_lp(num_vars, constraints, objective, sense="max", log=None):
+    """Two-phase simplex on a dense Fraction tableau, Bland's rule.
+
+    The same contract as the library's solver: constraints are (sparse
+    terms, relation, rhs), variables are held nonnegative, and the
+    result has ``status``, ``point`` and ``value``. When ``log`` is a
+    list, every pivot is appended to it as (kind, row, column, element),
+    kind "step" for a simplex step and "cleanup" for an artificial
+    driven out after phase one, and every redundant row dropped after
+    phase one as ("drop", row, None, None).
+    """
+    zero, one = Fraction(0), Fraction(1)
+    log = [] if log is None else log
+    if sense not in ("max", "min"):
+        raise ValueError(f"unknown sense {sense!r}")
+    if len(objective) != num_vars:
+        raise ValueError("objective length does not match variable count")
+    goal = [Fraction(c) for c in objective]
+    cost_vec = [-c for c in goal] if sense == "max" else list(goal)
+
+    rows, relations, rhs_values = [], [], []
+    for terms, relation, rhs in constraints:
+        if relation not in ("<=", ">=", "="):
+            raise ValueError(f"unknown relation {relation!r}")
+        dense = [zero] * num_vars
+        for col, coeff in terms:
+            if not 0 <= col < num_vars:
+                raise ValueError(f"column {col} out of range")
+            dense[col] += Fraction(coeff)
+        rhs = Fraction(rhs)
+        if rhs < 0:
+            dense = [-x for x in dense]
+            rhs = -rhs
+            relation = {"<=": ">=", ">=": "<=", "=": "="}[relation]
+        rows.append(dense)
+        relations.append(relation)
+        rhs_values.append(rhs)
+
+    m = len(rows)
+    slack_count = sum(1 for rel in relations if rel in ("<=", ">="))
+    art_start = num_vars + slack_count
+    art_count = sum(1 for rel in relations if rel in (">=", "="))
+    width = art_start + art_count
+
+    tableau, basis = [], []
+    next_slack, next_art = num_vars, art_start
+    for i in range(m):
+        row = rows[i] + [zero] * (width - num_vars) + [rhs_values[i]]
+        if relations[i] == "<=":
+            row[next_slack] = one
+            basis.append(next_slack)
+            next_slack += 1
+        elif relations[i] == ">=":
+            row[next_slack] = -one
+            next_slack += 1
+            row[next_art] = one
+            basis.append(next_art)
+            next_art += 1
+        else:
+            row[next_art] = one
+            basis.append(next_art)
+            next_art += 1
+        tableau.append(row)
+
+    if art_count:
+        phase1 = [zero] * width
+        for j in range(art_start, width):
+            phase1[j] = one
+        for i in range(m):
+            if basis[i] >= art_start:
+                phase1 = [a - b for a, b in zip(phase1, tableau[i][:-1])]
+        if _fraction_iterate(tableau, basis, phase1, width, log) != "optimal":
+            raise AssertionError("phase one cannot be unbounded")
+        if any(tableau[i][-1] != 0 for i in range(m) if basis[i] >= art_start):
+            return SimpleNamespace(status="infeasible", point=None, value=None)
+        dummy = [zero] * width
+        drop = []
+        for i in range(m):
+            if basis[i] < art_start:
+                continue
+            col = next((j for j in range(art_start) if tableau[i][j] != 0), None)
+            if col is None:
+                log.append(("drop", i, None, None))
+                drop.append(i)
+            else:
+                log.append(("cleanup", i, col, tableau[i][col]))
+                _fraction_pivot(tableau, dummy, i, col)
+                basis[i] = col
+        for i in reversed(drop):
+            del tableau[i]
+            del basis[i]
+        m = len(tableau)
+
+    tableau = [row[:art_start] + [row[-1]] for row in tableau]
+    full_cost = cost_vec + [zero] * slack_count
+    reduced = list(full_cost)
+    for i in range(m):
+        weight = full_cost[basis[i]]
+        if weight:
+            reduced = [a - weight * b for a, b in zip(reduced, tableau[i][:-1])]
+    if _fraction_iterate(tableau, basis, reduced, art_start, log) == "unbounded":
+        return SimpleNamespace(status="unbounded", point=None, value=None)
+
+    point = [zero] * num_vars
+    for i in range(m):
+        if basis[i] < num_vars:
+            point[basis[i]] = tableau[i][-1]
+    value = sum((goal[j] * point[j] for j in range(num_vars)), zero)
+    return SimpleNamespace(status="optimal", point=tuple(point), value=value)

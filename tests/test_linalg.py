@@ -61,3 +61,40 @@ def test_rank():
     assert rank([[F(1), F(2)], [F(2), F(4)], [F(0), F(1)]]) == 2
     assert rank([[F(0), F(0)]]) == 0
     assert rank([]) == 0
+
+
+def _prefix_rank_pick(vectors, need):
+    """The greedy pick by the oracle: keep each vector that raises the rank."""
+    chosen = []
+    for idx in range(len(vectors)):
+        if need and rank(vectors[: idx + 1]) > rank(vectors[:idx]):
+            chosen.append(idx)
+            if len(chosen) == need:
+                return chosen
+    return chosen if len(chosen) == need else None
+
+
+def test_greedy_independent_matches_prefix_rank():
+    # rational families with zero vectors, repeats and combinations of
+    # earlier vectors, so the pick has dependent vectors to skip
+    rng = random.Random(612)
+    for _ in range(300):
+        width = rng.randint(1, 6)
+        vectors = []
+        for _ in range(rng.randint(0, 9)):
+            roll = rng.random()
+            if vectors and roll < 0.3:
+                combo = [F(0)] * width
+                for vec in rng.sample(vectors, rng.randint(1, len(vectors))):
+                    k = F(rng.randint(-4, 4), rng.randint(1, 4))
+                    combo = [a + k * b for a, b in zip(combo, vec)]
+                vectors.append(combo)
+            elif roll < 0.4:
+                vectors.append([F(0)] * width)
+            else:
+                vectors.append(
+                    [F(rng.randint(-5, 5), rng.randint(1, 7)) if rng.random() < 0.6 else F(0)
+                     for _ in range(width)]
+                )
+        for need in range(width + 2):
+            assert greedy_independent(vectors, need) == _prefix_rank_pick(vectors, need)

@@ -1,8 +1,18 @@
 import random
+from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
+import pytest
+
+from stablepoly import adjacency, polytope, simplex
+from stablepoly.adjacency import adjacency_verdict
+from stablepoly.instances import Instance, random_instance
+from stablepoly.lattice import enumerate_stable
+from stablepoly.polytope import build_system
 from stablepoly.simplex import solve_lp
+
+from oracles import fraction_solve_lp
 
 F = Fraction
 
@@ -147,3 +157,197 @@ def test_matches_vertex_scan():
             if ok(pt)
         )
         assert result.value == best
+
+
+# -- integer tableau paths ----------------------------------------------
+
+
+def test_negative_cleanup_pivot():
+    # y >= 1/2 and y <= 1/2, both with negative right-hand sides. Phase one
+    # brings y in on the second row (a ratio tie, which the slack wins by
+    # its lower index) and leaves the first row's artificial basic at zero;
+    # driving it out pivots on its surplus entry, -1. Phase two must then
+    # read every sign the rational tableau has, or x looks profitable.
+    rows = [([(1, F(-2))], "<=", F(-1)), ([(1, F(-2))], ">=", F(-1))]
+    log = []
+    fraction_solve_lp(2, rows, [F(-2), F(1)], "max", log)
+    assert [(kind, element < 0) for kind, _, _, element in log] == [
+        ("step", False),
+        ("cleanup", True),
+    ]
+    result = solve_lp(2, rows, [F(-2), F(1)])
+    assert result.status == "optimal"
+    assert result.point == (F(0), F(1, 2))
+    assert result.value == F(1, 2)
+
+
+def test_pivot_column_zero_in_other_rows():
+    # x's column is zero in the y row and the other way round: each pivot
+    # only rescales the other row, which must still end at y = 5
+    result = solve_lp(
+        2, [([(0, F(2))], "<=", F(3)), ([(1, F(3))], "<=", F(15))], [F(1), F(1)]
+    )
+    assert result.status == "optimal"
+    assert result.point == (F(3, 2), F(5))
+    assert result.value == F(13, 2)
+
+
+def test_mixed_denominator_rows():
+    # x/2 + y/3 <= 1 and x/5 + y <= 7/10 meet at (23/13, 9/26), which
+    # beats the other vertices (2, 0) and (0, 7/10)
+    result = solve_lp(
+        2,
+        [
+            ([(0, F(1, 2)), (1, F(1, 3))], "<=", F(1)),
+            ([(0, F(1, 5)), (1, F(1))], "<=", F(7, 10)),
+        ],
+        [F(1), F(1)],
+    )
+    assert result.status == "optimal"
+    assert result.point == (F(23, 13), F(9, 26))
+    assert result.value == F(55, 26)
+
+
+def test_int_and_fraction_coefficients_agree():
+    rows = [([(0, 1), (1, 2)], "<=", 4), ([(0, F(3)), (1, 1)], "<=", F(6))]
+    as_ints = solve_lp(2, rows, [1, 1])
+    as_fractions = solve_lp(
+        2,
+        [([(j, F(c)) for j, c in terms], rel, F(rhs)) for terms, rel, rhs in rows],
+        [F(1), F(1)],
+    )
+    assert as_ints == as_fractions
+    assert as_ints.point == (F(8, 5), F(6, 5))
+    assert all(type(x) is Fraction for x in as_ints.point)
+    assert type(as_ints.value) is Fraction
+
+
+def test_fractional_objective_value_in_caller_units():
+    # the solver works with 6 * (x/3 + y/2); value is in the caller's units
+    for sense, point, value in (("max", (F(0), F(1)), F(1, 2)), ("min", (F(1), F(0)), F(1, 3))):
+        result = solve_lp(
+            2, [([(0, F(1)), (1, F(1))], "=", F(1))], [F(1, 3), F(1, 2)], sense
+        )
+        assert result.status == "optimal"
+        assert result.point == point
+        assert result.value == value
+
+
+# -- differential tests against the Fraction tableau ----------------------
+
+
+def _rational(rng):
+    return F(0) if rng.random() < 0.3 else F(rng.randint(-6, 6), rng.randint(1, 6))
+
+
+def _random_lp(rng):
+    """A small LP over every relation; some rows are scaled repeats."""
+    n = rng.randint(1, 5)
+    rows = []
+    for _ in range(rng.randint(0, 5)):
+        terms = [(j, _rational(rng)) for j in range(n) if rng.random() < 0.7]
+        relation = rng.choice(("<=", ">=", "="))
+        rhs = _rational(rng)
+        rows.append((terms, relation, rhs))
+        if rng.random() < 0.2:
+            k = F(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3))
+            flipped = {"<=": ">=", ">=": "<=", "=": "="}[relation] if k < 0 else relation
+            rows.append(([(j, k * c) for j, c in terms], flipped, k * rhs))
+    return n, rows, [_rational(rng) for _ in range(n)], rng.choice(("max", "min"))
+
+
+@pytest.fixture
+def pivots(monkeypatch):
+    """Every pivot solve_lp takes, as (row, column, element > 0)."""
+    taken = []
+    real = simplex._pivot
+
+    def record(tableau, cost, row, col, d):
+        assert d > 0
+        taken.append((row, col, tableau[row][col] > 0))
+        return real(tableau, cost, row, col, d)
+
+    monkeypatch.setattr(simplex, "_pivot", record)
+    return taken
+
+
+def _assert_same(args, pivots):
+    """Assert that solve_lp and the Fraction tableau agree on the result
+    and on every pivot; return the result and the oracle's log."""
+    pivots.clear()
+    log = []
+    got = solve_lp(*args)
+    want = fraction_solve_lp(*args, log=log)
+    assert (got.status, got.point, got.value) == (want.status, want.point, want.value), args
+    assert pivots == [(r, c, e > 0) for kind, r, c, e in log if kind != "drop"], args
+    return got, log
+
+
+def test_random_lps_match_fraction_tableau(pivots):
+    rng = random.Random(606)
+    statuses = Counter()
+    events = Counter()
+    relations = Counter()
+    for _ in range(1500):
+        n, rows, goal, sense = _random_lp(rng)
+        result, log = _assert_same((n, rows, goal, sense), pivots)
+        statuses[result.status] += 1
+        events.update(kind for kind, *_ in log)
+        events["negative cleanup"] += sum(
+            1 for kind, _, _, element in log if kind == "cleanup" and element < 0
+        )
+        relations.update((rel, rhs < 0) for _, rel, rhs in rows)
+    assert set(statuses) == {"optimal", "infeasible", "unbounded"}
+    assert events["negative cleanup"] and events["drop"]
+    assert set(relations) == {(rel, neg) for rel in ("<=", ">=", "=") for neg in (False, True)}
+
+
+def _recorded_calls(monkeypatch, module, run):
+    """Run ``run`` and return the argument tuples ``module`` passed to solve_lp."""
+    calls = []
+    real = module.solve_lp
+
+    def record(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, "solve_lp", record)
+    run()
+    return calls
+
+
+def test_optimize_lps_match_fraction_tableau(monkeypatch, pivots):
+    rng = random.Random(607)
+    instances = [random_instance(3, 3, 1.0, rng) for _ in range(8)]
+    instances += [random_instance(4, 4, 1.0, rng) for _ in range(3)]
+
+    def run():
+        for inst in instances:
+            system = build_system(inst)
+            for sense in ("max", "min"):
+                weights = [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in system.columns]
+                system.optimize(weights, sense)
+
+    calls = _recorded_calls(monkeypatch, polytope, run)
+    assert len(calls) == 2 * len(instances)
+    for args in calls:
+        assert _assert_same(args, pivots)[0].status == "optimal"
+
+
+def test_midpoint_lps_match_fraction_tableau(monkeypatch, pivots, opposed4):
+    latin4 = Instance(
+        4,
+        4,
+        tuple(tuple((i + k) % 4 for k in range(4)) for i in range(4)),
+        tuple(tuple((j + 1 + k) % 4 for k in range(4)) for j in range(4)),
+    )
+
+    def run():
+        for inst in (opposed4, latin4):
+            for m1, m2 in combinations(enumerate_stable(inst), 2):
+                adjacency_verdict(inst, m1, m2)
+
+    calls = _recorded_calls(monkeypatch, adjacency, run)
+    assert len(calls) == 2 * 2 * 6  # two rivals for each of 6 pairs, twice
+    values = Counter(_assert_same(args, pivots)[0].value for args in calls)
+    assert values[F(0)] and sum(values.values()) > values[F(0)]
