@@ -198,13 +198,6 @@ def _exact_adjacency(
     return adjacent, maxima, alternative
 
 
-def are_adjacent(
-    instance: Instance, m1: Matching, m2: Matching, max_edges: int = MAX_STABLE_EDGES
-) -> bool:
-    adjacent, _, _ = _exact_adjacency(instance, m1, m2, max_edges)
-    return adjacent
-
-
 @dataclass(frozen=True)
 class AdjacencyVerdict:
     """All three routes on one pair, with their agreement enforced.

@@ -2,7 +2,8 @@
 
 The two sides are produced by unrelated code: the geometric side wants
 exact extreme points of the halfspace description, the combinatorial
-side filters every matching through the stability predicate. The claim
+side walks the stable lattice by break-marriage from deferred
+acceptance (``lattice.enumerate_stable``). The claim
 under test is that the two sets always coincide and nothing fractional
 ever shows up.
 """

@@ -73,6 +73,30 @@ def stable_sets(instance):
     return found
 
 
+def filter_stable(instance):
+    """Every stable matching, by filtering every matching of the instance.
+
+    Each matching is a tuple of sorted (i, j) pairs, and the list is
+    sorted, which is the library's order. The walk only builds
+    matchings, so it reaches further than ``stable_sets``, but its cost
+    still grows with the number of matchings, not of stable ones.
+    """
+    edges = edge_pairs(instance)
+    found = []
+
+    def extend(start, chosen, used_a, used_b):
+        if is_stable_pairs(instance, chosen):
+            found.append(tuple(chosen))
+        for k in range(start, len(edges)):
+            i, j = edges[k]
+            if i in used_a or j in used_b:
+                continue
+            extend(k + 1, chosen + [(i, j)], used_a | {i}, used_b | {j})
+
+    extend(0, [], frozenset(), frozenset())
+    return sorted(found)
+
+
 def max_weight_stable(instance, weights):
     """Best total weight over the brute-force stable list.
 

@@ -26,7 +26,6 @@ from stablepoly import matchings as matchings_mod
 from stablepoly import polytope as polytope_mod
 from stablepoly.adjacency import (
     adjacency_verdict,
-    are_adjacent,
     nonadjacency_witness,
     removed_edge_witness,
 )
@@ -279,7 +278,7 @@ def test_criterion_6_adjacency_implications(all_results, announce):
     fixture_ok = (
         witness is not None
         and witness.dominant == doc["dominant"]
-        and not are_adjacent(reduced, w1, w2)
+        and not adjacency_verdict(reduced, w1, w2).adjacent
         and nonadjacency_witness(reduced, w1, w2) is None
     )
     if not fixture_ok:

@@ -7,7 +7,6 @@ from stablepoly.adjacency import (
     AdjacencyVerdict,
     Witness,
     adjacency_verdict,
-    are_adjacent,
     convex_decompose,
     nonadjacency_witness,
     removed_edge_witness,
@@ -66,7 +65,7 @@ def test_removed_edge_witness_fixture(witness_fixture):
     got = removed_edge_witness(host, edge, m1, m2)
     assert got == Witness(edge, witness_fixture["dominant"])
     # the certificate is sound: the pair is indeed not adjacent
-    assert not are_adjacent(reduced, m1, m2)
+    assert not adjacency_verdict(reduced, m1, m2).adjacent
     # and the host ranks are essential: inside the reduced instance the
     # same scan finds nothing
     assert nonadjacency_witness(reduced, m1, m2) is None
@@ -147,14 +146,14 @@ def test_convex_decompose_validates(opposed2):
 
 def test_are_adjacent(opposed2, opposed4):
     m1, m2 = enumerate_stable(opposed2)
-    assert are_adjacent(opposed2, m1, m2)
+    assert adjacency_verdict(opposed2, m1, m2).adjacent
     n1, n2 = opposed4_pair(opposed4)
-    assert not are_adjacent(opposed4, n1, n2)
+    assert not adjacency_verdict(opposed4, n1, n2).adjacent
     with pytest.raises(ValueError, match="distinct"):
-        are_adjacent(opposed2, m1, m1)
+        adjacency_verdict(opposed2, m1, m1)
     unstable = Matching.from_edges([Edge(0, 0)])
     with pytest.raises(ValueError, match="stable"):
-        are_adjacent(opposed2, m1, unstable)
+        adjacency_verdict(opposed2, m1, unstable)
 
 
 def test_adjacent_pairs_on_lattice_neighbours(opposed4):
@@ -165,11 +164,11 @@ def test_adjacent_pairs_on_lattice_neighbours(opposed4):
     join = Matching.from_edges([Edge(0, 0), Edge(1, 1), Edge(2, 2), Edge(3, 3)])
     meet = Matching.from_edges([Edge(0, 1), Edge(1, 0), Edge(2, 3), Edge(3, 2)])
     assert set(stable) == {m1, m2, meet, join}
-    assert are_adjacent(opposed4, m1, join)
-    assert are_adjacent(opposed4, m1, meet)
-    assert are_adjacent(opposed4, m2, join)
-    assert are_adjacent(opposed4, m2, meet)
-    assert not are_adjacent(opposed4, meet, join)
+    assert adjacency_verdict(opposed4, m1, join).adjacent
+    assert adjacency_verdict(opposed4, m1, meet).adjacent
+    assert adjacency_verdict(opposed4, m2, join).adjacent
+    assert adjacency_verdict(opposed4, m2, meet).adjacent
+    assert not adjacency_verdict(opposed4, meet, join).adjacent
 
 
 def test_verdict_golden(opposed2, opposed4):

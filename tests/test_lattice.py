@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -6,7 +7,53 @@ from stablepoly.instances import Edge, Instance, random_instances
 from stablepoly.lattice import decompose, enumerate_stable, meet_join, swap
 from stablepoly.matchings import Matching, is_stable
 
-from oracles import stable_sets
+from oracles import filter_stable, is_stable_pairs, stable_sets
+from test_acceptance import complete3
+
+
+def blocks(k):
+    """k opposed 2x2 blocks side by side: 2^k stable matchings."""
+    a_prefs, b_prefs = [], []
+    for t in range(k):
+        lo, hi = 2 * t, 2 * t + 1
+        a_prefs += [(lo, hi), (hi, lo)]
+        b_prefs += [(hi, lo), (lo, hi)]
+    return Instance(2 * k, 2 * k, tuple(a_prefs), tuple(b_prefs))
+
+
+def latin(n):
+    """Cyclic Latin-square preferences: the n shifted diagonals are stable."""
+    a_prefs = tuple(tuple((i + k) % n for k in range(n)) for i in range(n))
+    b_prefs = tuple(tuple((j + 1 + k) % n for k in range(n)) for j in range(n))
+    return Instance(n, n, a_prefs, b_prefs)
+
+
+def draw(rng, a_count, b_count, p, one_sided):
+    """Random lists over 0..count-1 per side; with probability
+    ``one_sided`` a pair is listed by only one of its endpoints."""
+    a_lists = [[] for _ in range(a_count)]
+    b_lists = [[] for _ in range(b_count)]
+    for i in range(a_count):
+        for j in range(b_count):
+            if rng.random() >= p:
+                continue
+            roll = rng.random()
+            if roll >= one_sided:
+                a_lists[i].append(j)
+                b_lists[j].append(i)
+            elif roll < one_sided / 2:
+                a_lists[i].append(j)
+            else:
+                b_lists[j].append(i)
+    for lst in a_lists + b_lists:
+        rng.shuffle(lst)
+    return Instance(
+        a_count, b_count, tuple(map(tuple, a_lists)), tuple(map(tuple, b_lists))
+    )
+
+
+def as_pairs(stable):
+    return [tuple((e.a, e.b) for e in m.sorted_edges()) for m in stable]
 
 
 def pair_of(instance):
@@ -166,3 +213,55 @@ def test_enumerate_stable_matches_oracle():
     for inst in itertools.islice(stream, 40):
         mine = {frozenset((e.a, e.b) for e in m.edges) for m in enumerate_stable(inst)}
         assert mine == set(stable_sets(inst))
+
+
+def differential_corpus():
+    rng = random.Random(409)
+    for _ in range(2000):
+        one_sided = rng.choice((0.0, 0.0, 0.2))
+        yield draw(rng, rng.randint(0, 5), rng.randint(0, 5), rng.uniform(0.3, 1.0), one_sided)
+    for index in rng.sample(range(6**6), 300):
+        yield complete3(index)
+    for _ in range(60):
+        yield draw(rng, 5, 5, rng.uniform(0.6, 1.0), 0.0)
+    for k in (2, 3, 4):
+        yield blocks(k)
+    for n in (3, 4, 5):
+        yield latin(n)
+
+
+def test_enumerate_stable_matches_filter():
+    """Break-marriage enumeration lists exactly what filtering every
+    matching keeps, in the same order and each matching once."""
+    checked = 0
+    for inst in differential_corpus():
+        mine = as_pairs(enumerate_stable(inst, max_edges=25))
+        assert mine == filter_stable(inst), inst
+        checked += 1
+    assert checked == 2366
+
+
+def test_enumerate_stable_closed_forms():
+    """Families past the filter's reach whose stable sets are known."""
+    six = blocks(6)
+    assert len(six.edges) == 24
+    halves = [
+        (((2 * t, 2 * t), (2 * t + 1, 2 * t + 1)), ((2 * t, 2 * t + 1), (2 * t + 1, 2 * t)))
+        for t in range(6)
+    ]
+    expected = sorted(
+        tuple(sorted(itertools.chain(*choice))) for choice in itertools.product(*halves)
+    )
+    assert len(expected) == 64
+    found = as_pairs(enumerate_stable(six, max_edges=24))
+    assert found == expected
+    assert all(is_stable_pairs(six, m) for m in found)
+    for n in (6, 7):
+        inst = latin(n)
+        assert len(inst.edges) == n * n
+        diagonals = sorted(
+            tuple(sorted((i, (i + s) % n) for i in range(n))) for s in range(n)
+        )
+        found = as_pairs(enumerate_stable(inst, max_edges=n * n))
+        assert found == diagonals
+        assert all(is_stable_pairs(inst, m) for m in found)
