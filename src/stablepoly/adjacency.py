@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
 from .instances import Edge, Instance, remove_edge
-from .lattice import MAX_STABLE_EDGES, decompose, enumerate_stable
+from .lattice import MAX_STABLE_EDGES, Component, decompose, enumerate_stable
 from .matchings import Matching
 from .simplex import solve_lp
 
@@ -47,7 +47,10 @@ def uniformly_oriented(instance: Instance, m1: Matching, m2: Matching) -> bool:
     components separately writes the midpoint as a combination of two
     other stable matchings.
     """
-    components = decompose(instance, m1, m2).components
+    return _leans_one_way(decompose(instance, m1, m2).components)
+
+
+def _leans_one_way(components: Sequence[Component]) -> bool:
     return len({c.a_prefers for c in components}) <= 1
 
 
@@ -87,6 +90,11 @@ def nonadjacency_witness(instance: Instance, m1: Matching, m2: Matching) -> Witn
     of the certificate lives in removed_edge_witness.
     """
     decompose(instance, m1, m2)
+    return _witness_scan(instance, m1, m2)
+
+
+def _witness_scan(instance: Instance, m1: Matching, m2: Matching) -> Witness | None:
+    """nonadjacency_witness without the stability check."""
     for edge in sorted(instance.edges):
         dominant = _dominated_by(instance, edge, m1, m2)
         if dominant is not None:
@@ -137,7 +145,7 @@ def convex_decompose(
     if len(point) != len(columns):
         raise ValueError("point dimension does not match the edge count")
     constraints = _decomposition_rows(columns, allowed, point)
-    result = solve_lp(len(allowed), constraints, [ZERO] * len(allowed), "min")
+    [result] = solve_lp(len(allowed), constraints, [[ZERO] * len(allowed)], "min")
     if result.status != "optimal":
         return None
     assert result.point is not None
@@ -164,10 +172,11 @@ def _midpoint(columns: Sequence[Edge], m1: Matching, m2: Matching) -> tuple[Frac
 def _exact_adjacency(
     instance: Instance, m1: Matching, m2: Matching, max_edges: int
 ) -> tuple[bool, list[tuple[Matching, Fraction]], dict[Matching, Fraction] | None]:
-    """The midpoint test: maximise each rival's weight in turn.
+    """The midpoint test: maximise each rival's weight.
 
     The pair spans an edge exactly when every rival matching is forced to
-    weight zero in every decomposition of the midpoint.
+    weight zero in every decomposition of the midpoint. Every rival's LP
+    has the same rows, so one solve_lp call takes all their objectives.
     """
     if m1 == m2:
         raise ValueError("adjacency needs two distinct matchings")
@@ -177,19 +186,18 @@ def _exact_adjacency(
     columns = instance.canonical_edges()
     midpoint = _midpoint(columns, m1, m2)
     constraints = _decomposition_rows(columns, stable, midpoint)
+    rivals = [k for k, m in enumerate(stable) if m != m1 and m != m2]
+    objectives = [[ONE if i == k else ZERO for i in range(len(stable))] for k in rivals]
+    results = solve_lp(len(stable), constraints, objectives, "max") if rivals else []
     maxima: list[tuple[Matching, Fraction]] = []
     alternative: dict[Matching, Fraction] | None = None
-    for k, rival in enumerate(stable):
-        if rival == m1 or rival == m2:
-            continue
-        objective = [ONE if i == k else ZERO for i in range(len(stable))]
-        result = solve_lp(len(stable), constraints, objective, "max")
+    for k, result in zip(rivals, results):
         if result.status != "optimal":
             raise AssertionError(
                 "midpoint of two stable matchings must be decomposable"
             )
         assert result.value is not None and result.point is not None
-        maxima.append((rival, result.value))
+        maxima.append((stable[k], result.value))
         if result.value > 0 and alternative is None:
             alternative = {
                 stable[i]: w for i, w in enumerate(result.point) if w != 0
@@ -246,10 +254,11 @@ def adjacency_verdict(
     instance: Instance, m1: Matching, m2: Matching, max_edges: int = MAX_STABLE_EDGES
 ) -> AdjacencyVerdict:
     adjacent, maxima, alternative = _exact_adjacency(instance, m1, m2, max_edges)
+    components = decompose(instance, m1, m2).components
     return AdjacencyVerdict(
         adjacent=adjacent,
-        uniform=uniformly_oriented(instance, m1, m2),
-        witness=nonadjacency_witness(instance, m1, m2),
+        uniform=_leans_one_way(components),
+        witness=_witness_scan(instance, m1, m2),
         maxima=tuple(maxima),
         alternative=alternative,
     )

@@ -1,4 +1,7 @@
+import hashlib
 import itertools
+import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,9 +15,11 @@ from stablepoly.adjacency import (
     removed_edge_witness,
     uniformly_oriented,
 )
-from stablepoly.instances import Edge, instance_from_json, random_instances, remove_edge
+from stablepoly.instances import Edge, Instance, instance_from_json, random_instances, remove_edge
 from stablepoly.lattice import enumerate_stable
 from stablepoly.matchings import Matching
+
+from test_lattice import blocks, latin
 
 F = Fraction
 HALF = F(1, 2)
@@ -229,3 +234,94 @@ def test_adjacency_implies_uniformity_everywhere():
                 assert not verdict.adjacent
                 assert verdict.alternative is not None
     assert seen_nonuniform >= 1
+
+
+def golden_instances():
+    """Rich lattices: block unions (k = 2 is the opposed4 fixture), cyclic
+    Latin squares, and seeded complete 4x4/5x5 draws with at least three
+    stable matchings (with two there is no rival, so no LP to pin)."""
+    yield "blocks2", blocks(2)
+    yield "blocks3", blocks(3)
+    for n in (4, 5, 6):
+        yield f"latin{n}", latin(n)
+    rng = random.Random(808)
+    for n, wanted in ((4, 20), (5, 20)):
+        kept = 0
+        while kept < wanted:
+            inst = Instance(
+                n,
+                n,
+                tuple(tuple(rng.sample(range(n), n)) for _ in range(n)),
+                tuple(tuple(rng.sample(range(n), n)) for _ in range(n)),
+            )
+            if len(enumerate_stable(inst, max_edges=n * n)) >= 3:
+                yield f"rand{n}.{kept}", inst
+                kept += 1
+
+
+def verdict_digest(inst):
+    """sha256 over the verdict JSON of every stable pair, in enumeration order."""
+    limit = len(inst.edges)
+    digest = hashlib.sha256()
+    for m1, m2 in itertools.combinations(enumerate_stable(inst, max_edges=limit), 2):
+        doc = adjacency_verdict(inst, m1, m2, max_edges=limit).to_json(inst)
+        digest.update(json.dumps(doc).encode() + b"\n")
+    return digest.hexdigest()
+
+
+# Digests of ``verdict_digest`` per instance, computed when every rival's
+# LP still ran its own phase one. ``test_verdict_golden`` never pins the
+# ``alternative`` point; these do, and it is the output that a wrong reuse
+# of the shared phase-one tableau would change first.
+VERDICT_DIGESTS = {
+    "blocks2": "83a9aaf2ad8d872ef3e074e950f08e8520e8dd8f8844d6738f6c9e626d7107af",
+    "blocks3": "ecb072015850462a76d76d886b486e9c561f5199ce77e19ced1d8f8eb2f74b7a",
+    "latin4": "8c500a3ccd920bb093054b98ece068c6b10aa2a0a2e889ccc676c71e5e38585e",
+    "latin5": "27608cec646f6204ad706850c4fbe14bf176c48d0968322efd6262de953499b8",
+    "latin6": "405fe123105ba9e031af319f12b7e788eb9d3237ba0732125a572c342d7c0869",
+    "rand4.0": "0cda23844a99e8423382dad0e58f5bfc3c5e3fc9821df90bede8ec1b9bf67fb9",
+    "rand4.1": "1e618ed73a143c6d4ce20c92d6e6a6973d9cfc47a86beca3b54f0fd370b8d3ef",
+    "rand4.2": "731d94f807536ca2afab2517d3b3dbaf64ab6edf1fa83c1414bad2a96e4382f1",
+    "rand4.3": "aa61ea07d0261439873bba23f29c0f464104ffce46621b7b2a487246a38d6eee",
+    "rand4.4": "46f179ecd7b5c5d379458f741cb6ca486812ebae00e0eb4fb5b106d98b06ad1c",
+    "rand4.5": "a1092e52763f3f8ff2b35e3b432747da41d4ef633e2c66b8245e10c1108c677e",
+    "rand4.6": "0f910bfe97f0641ae7b2038326f3df5db01a2c85ad21481c29ff70d3677593fb",
+    "rand4.7": "c1565cb745782c935e5b7779c2bc5fc5a7b289733e7d23c835579f0dbec4177b",
+    "rand4.8": "2494079fd4f27854ed978c028dbb913e9631192231512d5bb49ad3420654d168",
+    "rand4.9": "72a886db692686f9b3005cb33647ebbf0ed404e1b7edd726e9699cf2ca9fb71f",
+    "rand4.10": "f1fa8fcc6274f7d38a5e068444d4567c056449ff11bbd365e632c3c622560baa",
+    "rand4.11": "59f8332ad25fbdeeaacbaecbe10a324988339fcd228adcd5cd7f06ccb82d44f8",
+    "rand4.12": "645a1278fcc710e6da0900f30c136f652f7f08bebe0f337b9a84b574b8ae76bf",
+    "rand4.13": "6f04165b9563441b5d6d963184702b7de1b5bc4854b2add960a1c4cb34367d31",
+    "rand4.14": "fe0c4fed7379dfd64f9ad9f6d10904f7bbd90b9b540e1cb69797aa8e206b2297",
+    "rand4.15": "a4687e8c51d25be5feaf45fbdee11511e0c0b322833aeb05c8aa4f315a1e73e2",
+    "rand4.16": "fdd2cee027f217b2d1536552c85ba5889b90d8b1585e6c24e280ee5d9bc64b61",
+    "rand4.17": "4ef474c1c0f69f0089dd6b92ebb6b52713a9c73ee0e70101ad8713ef5b239fb9",
+    "rand4.18": "966990004e670667a322e1d1372d48e0f686065d83a1e14209ea010ffc26c7fb",
+    "rand4.19": "79f5db069452ce4bb987b4339dce5db85249a51b0a25607aab9eac40f084bd09",
+    "rand5.0": "809a0f787a828bd5ed2efa2adced41ba6ae53d0f5171d84741019313ab8caeda",
+    "rand5.1": "5bd23416e18615d40495007c0e8fe96a77d3023c8aeb1c9346f70013570c5405",
+    "rand5.2": "dd5dc4a27dba6510fe665879031687a50967085e8ed1c17788b3cc4e64e9a9c6",
+    "rand5.3": "3e42590013cc92b0bc99a6fd196835f9b856a7d8e717a7327317bb67f5b9ab45",
+    "rand5.4": "ee5aadec6fb3bc7dbe2ec7173f13d5a25cea5ff740fce30efed93194b3fbbf8c",
+    "rand5.5": "8c4c853fe6c0fe38f6ea10f961f7a7f2f3b4b26abbe26f9e533f4d85276c6016",
+    "rand5.6": "209ed724d1e116621eda758167fbb50ed9c96847b3d3f00a422c16c5527cfc28",
+    "rand5.7": "15bb68f53640fe97cf44effc817eaf33268ffa0ce0f502127a07a2eea505e25b",
+    "rand5.8": "e6cadf6520ea1f8e1097347910b3bad9dac4ebe6346f04b098a54d6b57559fba",
+    "rand5.9": "573f4046890ffb334c1eeb03ef20a241920e74157a6cd0ef87b05e6cba16473b",
+    "rand5.10": "b134288538da0407c418752bd9b0674fb142849d8a61675bd4f541d90e7aab22",
+    "rand5.11": "2a7f0e3d4bc6c5f3c44699a750351d2c4d4d5c8ccf2647f46642eaa5902742e6",
+    "rand5.12": "dae3df0a4087dfde15cb36c61f679608e77568f50bc9c6c9a1d434ca95876157",
+    "rand5.13": "3b84cf80924c980f0478dc2530e60d7368c0d5bd26558bd201318e04605e0a1a",
+    "rand5.14": "37bb2a01158c88c7b30ca0991d7bdf12454380500207304e72d1f1fe3f01ed5b",
+    "rand5.15": "28ff5cef6cd19238ebf745d17631b9d63f79beb01bd54e87cfdcba5328f97d26",
+    "rand5.16": "4e42d121369570017806853980289dea35f5b562ac126a006238ac02ac16dc25",
+    "rand5.17": "587d6244516bb1f72187b8d6984aae596eec6e364476b51bf998d0e664cd9cc8",
+    "rand5.18": "7291c37f90d1792043120c4a616f3a4c6b8a2a058e882842beb17b903ca1c69d",
+    "rand5.19": "21cbe24f75783a3dcce451f7951c09f5d10bd6b1da072df375dcd6c05a6cf8d0",
+}
+
+
+def test_adjacency_verdict_bytes_golden():
+    got = {name: verdict_digest(inst) for name, inst in golden_instances()}
+    assert got == VERDICT_DIGESTS

@@ -13,9 +13,12 @@ import importlib.util
 import inspect
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 from stablepoly.adjacency import adjacency_verdict
+from stablepoly.instances import Edge
 from stablepoly.lattice import enumerate_stable
+from stablepoly.matchings import Matching
 from stablepoly.polytope import build_system
 from stablepoly.verification import verify_instance
 
@@ -90,3 +93,23 @@ def test_every_direct_library_call_in_workloads_binds():
         assert not any(isinstance(a, ast.Starred) for a in node.args), dotted
         keywords = {k.arg: None for k in node.keywords}
         inspect.signature(resolve(dotted)).bind(*[None] * len(node.args), **keywords)
+
+
+def test_adjacency_lps_run_on_the_traced_layer(opposed4):
+    # the traced run reads the adjacency LP time as simplex.solve_lp nested
+    # in adjacency_verdict; LPs routed around solve_lp would read 0 there
+    tracing = load_tracing()
+    lib = SimpleNamespace(**{m: resolve(m) for m, *_ in tracing.TARGETS})
+    m1 = Matching.from_edges([Edge(0, 0), Edge(1, 1), Edge(2, 3), Edge(3, 2)])
+    m2 = Matching.from_edges([Edge(0, 1), Edge(1, 0), Edge(2, 2), Edge(3, 3)])
+    originals = (lib.adjacency.adjacency_verdict, lib.adjacency.solve_lp, lib.simplex.solve_lp)
+    tracer = tracing.Tracer()
+    tracer.install(lib)
+    try:
+        verdict = lib.adjacency.adjacency_verdict(opposed4, m1, m2)
+    finally:
+        tracer.restore()
+    assert (lib.adjacency.adjacency_verdict, lib.adjacency.solve_lp, lib.simplex.solve_lp) == originals
+    assert not verdict.adjacent and len(verdict.maxima) == 2
+    assert tracer.calls["simplex.solve_lp"] == 1
+    assert tracer.nested["adjacency.adjacency_verdict", "simplex.solve_lp"] == 1

@@ -17,9 +17,15 @@ from oracles import fraction_solve_lp
 F = Fraction
 
 
+def solve(num_vars, constraints, objective, sense="max"):
+    """solve_lp on a single objective."""
+    [result] = solve_lp(num_vars, constraints, [objective], sense)
+    return result
+
+
 def test_max_two_vars():
     # max x + y st x + 2y <= 4, 3x + y <= 6: optimum at (8/5, 6/5)
-    result = solve_lp(
+    result = solve(
         2,
         [
             ([(0, F(1)), (1, F(2))], "<=", F(4)),
@@ -34,7 +40,7 @@ def test_max_two_vars():
 
 def test_min_with_surplus():
     # min 2x + 3y st x + y >= 4, x <= 3
-    result = solve_lp(
+    result = solve(
         2,
         [
             ([(0, F(1)), (1, F(1))], ">=", F(4)),
@@ -49,7 +55,7 @@ def test_min_with_surplus():
 
 
 def test_equality_rows():
-    result = solve_lp(
+    result = solve(
         3,
         [
             ([(0, F(1)), (1, F(1)), (2, F(1))], "=", F(1)),
@@ -63,7 +69,7 @@ def test_equality_rows():
 
 
 def test_infeasible():
-    result = solve_lp(
+    result = solve(
         1,
         [
             ([(0, F(1))], "<=", F(1)),
@@ -76,20 +82,20 @@ def test_infeasible():
 
 
 def test_unbounded():
-    result = solve_lp(2, [([(0, F(1))], "<=", F(1))], [F(0), F(1)])
+    result = solve(2, [([(0, F(1))], "<=", F(1))], [F(0), F(1)])
     assert result.status == "unbounded"
 
 
 def test_negative_rhs_normalized():
     # -x <= -2 is x >= 2
-    result = solve_lp(1, [([(0, F(-1))], "<=", F(-2))], [F(1)], "min")
+    result = solve(1, [([(0, F(-1))], "<=", F(-2))], [F(1)], "min")
     assert result.status == "optimal"
     assert result.point == (F(2),)
 
 
 def test_degenerate_cycling_guard():
     """Beale's classic cycling example; Bland's rule must terminate."""
-    result = solve_lp(
+    result = solve(
         4,
         [
             ([(0, F(1, 4)), (1, F(-8)), (2, F(-1)), (3, F(9))], "<=", F(0)),
@@ -104,7 +110,7 @@ def test_degenerate_cycling_guard():
 
 def test_redundant_equalities_driven_out():
     # second row repeats the first; phase 1 must not report infeasible
-    result = solve_lp(
+    result = solve(
         2,
         [
             ([(0, F(1)), (1, F(1))], "=", F(1)),
@@ -117,7 +123,7 @@ def test_redundant_equalities_driven_out():
 
 
 def test_zero_objective_feasibility_probe():
-    result = solve_lp(2, [([(0, F(1)), (1, F(1))], "=", F(1))], [F(0), F(0)], "min")
+    result = solve(2, [([(0, F(1)), (1, F(1))], "=", F(1))], [F(0), F(0)], "min")
     assert result.status == "optimal"
     assert result.value == F(0)
 
@@ -139,7 +145,7 @@ def test_matches_vertex_scan():
             if terms:
                 rows.append((terms, "<=", F(rng.randint(2, 6))))
         goal = [F(rng.randint(-3, 3)) for _ in range(n)]
-        result = solve_lp(n, rows, goal)
+        result = solve(n, rows, goal)
         assert result.status == "optimal"
 
         def ok(point):
@@ -175,7 +181,7 @@ def test_negative_cleanup_pivot():
         ("step", False),
         ("cleanup", True),
     ]
-    result = solve_lp(2, rows, [F(-2), F(1)])
+    result = solve(2, rows, [F(-2), F(1)])
     assert result.status == "optimal"
     assert result.point == (F(0), F(1, 2))
     assert result.value == F(1, 2)
@@ -184,7 +190,7 @@ def test_negative_cleanup_pivot():
 def test_pivot_column_zero_in_other_rows():
     # x's column is zero in the y row and the other way round: each pivot
     # only rescales the other row, which must still end at y = 5
-    result = solve_lp(
+    result = solve(
         2, [([(0, F(2))], "<=", F(3)), ([(1, F(3))], "<=", F(15))], [F(1), F(1)]
     )
     assert result.status == "optimal"
@@ -195,7 +201,7 @@ def test_pivot_column_zero_in_other_rows():
 def test_mixed_denominator_rows():
     # x/2 + y/3 <= 1 and x/5 + y <= 7/10 meet at (23/13, 9/26), which
     # beats the other vertices (2, 0) and (0, 7/10)
-    result = solve_lp(
+    result = solve(
         2,
         [
             ([(0, F(1, 2)), (1, F(1, 3))], "<=", F(1)),
@@ -210,8 +216,8 @@ def test_mixed_denominator_rows():
 
 def test_int_and_fraction_coefficients_agree():
     rows = [([(0, 1), (1, 2)], "<=", 4), ([(0, F(3)), (1, 1)], "<=", F(6))]
-    as_ints = solve_lp(2, rows, [1, 1])
-    as_fractions = solve_lp(
+    as_ints = solve(2, rows, [1, 1])
+    as_fractions = solve(
         2,
         [([(j, F(c)) for j, c in terms], rel, F(rhs)) for terms, rel, rhs in rows],
         [F(1), F(1)],
@@ -225,7 +231,7 @@ def test_int_and_fraction_coefficients_agree():
 def test_fractional_objective_value_in_caller_units():
     # the solver works with 6 * (x/3 + y/2); value is in the caller's units
     for sense, point, value in (("max", (F(0), F(1)), F(1, 2)), ("min", (F(1), F(0)), F(1, 3))):
-        result = solve_lp(
+        result = solve(
             2, [([(0, F(1)), (1, F(1))], "=", F(1))], [F(1, 3), F(1, 2)], sense
         )
         assert result.status == "optimal"
@@ -271,16 +277,39 @@ def pivots(monkeypatch):
     return taken
 
 
-def _assert_same(args, pivots):
-    """Assert that solve_lp and the Fraction tableau agree on the result
-    and on every pivot; return the result and the oracle's log."""
+def _steps(log):
+    return [(r, c, e > 0) for kind, r, c, e in log if kind != "drop"]
+
+
+def _assert_batch(num_vars, constraints, objectives, sense, pivots):
+    """Assert that one solve_lp call agrees with the Fraction tableau run
+    on each objective alone: the same result for every objective, and
+    the pivots of the shared phase one and clean-up once, followed by
+    each objective's phase-two pivots in order. Return the results and
+    the oracle's logs."""
     pivots.clear()
-    log = []
-    got = solve_lp(*args)
-    want = fraction_solve_lp(*args, log=log)
-    assert (got.status, got.point, got.value) == (want.status, want.point, want.value), args
-    assert pivots == [(r, c, e > 0) for kind, r, c, e in log if kind != "drop"], args
-    return got, log
+    got = solve_lp(num_vars, constraints, objectives, sense)
+    assert len(got) == len(objectives)
+    shared = []
+    if len(objectives) > 1:
+        # a zero objective takes no phase-two pivot: its log is the shared prefix
+        fraction_solve_lp(num_vars, constraints, [0] * num_vars, sense, log=shared)
+    expected = _steps(shared)
+    logs = []
+    for objective, result in zip(objectives, got):
+        log = []
+        want = fraction_solve_lp(num_vars, constraints, objective, sense, log=log)
+        args = (num_vars, constraints, objective, sense)
+        assert (result.status, result.point, result.value) == (
+            want.status,
+            want.point,
+            want.value,
+        ), args
+        assert log[: len(shared)] == shared, args
+        expected += _steps(log[len(shared) :])
+        logs.append(log)
+    assert pivots == expected, (num_vars, constraints, objectives, sense)
+    return got, logs
 
 
 def test_random_lps_match_fraction_tableau(pivots):
@@ -290,7 +319,7 @@ def test_random_lps_match_fraction_tableau(pivots):
     relations = Counter()
     for _ in range(1500):
         n, rows, goal, sense = _random_lp(rng)
-        result, log = _assert_same((n, rows, goal, sense), pivots)
+        [result], [log] = _assert_batch(n, rows, [goal], sense, pivots)
         statuses[result.status] += 1
         events.update(kind for kind, *_ in log)
         events["negative cleanup"] += sum(
@@ -300,6 +329,44 @@ def test_random_lps_match_fraction_tableau(pivots):
     assert set(statuses) == {"optimal", "infeasible", "unbounded"}
     assert events["negative cleanup"] and events["drop"]
     assert set(relations) == {(rel, neg) for rel in ("<=", ">=", "=") for neg in (False, True)}
+
+
+def test_random_batches_match_fraction_tableau(pivots):
+    # the 1500 LPs of the test above, each with 0-4 objectives of its own
+    rng = random.Random(606)
+    draws = random.Random(608)
+    shapes = Counter()  # (objective count, set of statuses)
+    events = Counter()
+    for _ in range(1500):
+        n, rows, _, sense = _random_lp(rng)
+        objectives = [[_rational(draws) for _ in range(n)] for _ in range(draws.randint(0, 4))]
+        results, logs = _assert_batch(n, rows, objectives, sense, pivots)
+        shapes[len(objectives), frozenset(r.status for r in results)] += 1
+        if len(objectives) > 1:
+            events["negative cleanup"] += any(
+                kind == "cleanup" and element < 0 for kind, _, _, element in logs[0]
+            )
+            events["later phase two pivots"] += len(pivots) > len(_steps(logs[0]))
+    assert shapes[0, frozenset()]
+    assert any(k > 1 and st == {"optimal", "unbounded"} for k, st in shapes)
+    assert any(k > 1 and st == {"infeasible"} for k, st in shapes)
+    assert events["negative cleanup"] and events["later phase two pivots"]
+
+
+def test_batch_edge_cases(pivots):
+    rows = [([(0, F(1)), (1, F(1))], ">=", F(1)), ([(0, F(1))], "<=", F(2))]
+    assert solve_lp(2, rows, []) == []
+    assert pivots == []
+    with pytest.raises(ValueError, match="objective length"):
+        solve_lp(2, rows, [[F(1), F(1)], [F(1)]])
+    assert pivots == []
+    # unbounded along y, optimal at x = 2, then optimal on the line x + y = 1
+    results, _ = _assert_batch(2, rows, [[F(0), F(1)], [F(1), F(0)], [F(-1), F(-1)]], "max", pivots)
+    assert [r.status for r in results] == ["unbounded", "optimal", "optimal"]
+    assert [r.value for r in results[1:]] == [F(2), F(-1)]
+    infeasible = rows + [([(0, F(1)), (1, F(1))], "<=", F(1, 2))]
+    results, _ = _assert_batch(2, infeasible, [[F(1), F(0)], [F(0), F(1)]], "min", pivots)
+    assert [r.status for r in results] == ["infeasible", "infeasible"]
 
 
 def _recorded_calls(monkeypatch, module, run):
@@ -331,7 +398,8 @@ def test_optimize_lps_match_fraction_tableau(monkeypatch, pivots):
     calls = _recorded_calls(monkeypatch, polytope, run)
     assert len(calls) == 2 * len(instances)
     for args in calls:
-        assert _assert_same(args, pivots)[0].status == "optimal"
+        [result], _ = _assert_batch(*args, pivots)
+        assert result.status == "optimal"
 
 
 def test_midpoint_lps_match_fraction_tableau(monkeypatch, pivots, opposed4):
@@ -348,6 +416,9 @@ def test_midpoint_lps_match_fraction_tableau(monkeypatch, pivots, opposed4):
                 adjacency_verdict(inst, m1, m2)
 
     calls = _recorded_calls(monkeypatch, adjacency, run)
-    assert len(calls) == 2 * 2 * 6  # two rivals for each of 6 pairs, twice
-    values = Counter(_assert_same(args, pivots)[0].value for args in calls)
+    assert len(calls) == 2 * 6  # one call for each of 6 pairs, twice
+    assert [len(objectives) for _, _, objectives, _ in calls] == [2] * 12  # two rivals each
+    values = Counter(
+        result.value for args in calls for result in _assert_batch(*args, pivots)[0]
+    )
     assert values[F(0)] and sum(values.values()) > values[F(0)]
