@@ -1,25 +1,29 @@
 """When do two stable matchings span an edge of the matching region?
 
-Three routes of different strength, kept deliberately separate:
+Two routes of different strength, kept deliberately separate:
 
 * a necessary test: every difference component must lean the same way;
-* a sufficient test: one graph edge that one matching beats at both
-  endpoints while the other matching beats it at neither;
 * the exact test: the segment midpoint admits no convex combination of
   stable matchings other than the trivial half-half one.
 
-The exact route never consults the other two, so the implications can be
-checked against each other instead of being true by construction.
+The exact route never consults the orientation, so the implication is
+checked against it instead of being true by construction.
+
+A dominance certificate (an edge that one matching beats at both
+endpoints while the other beats it at neither) never exists inside the
+graph for two stable matchings; it becomes productive once the edge is
+deleted and only its preference ranks remain, which removed_edge_witness
+reads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .instances import Edge, Instance, remove_edge
-from .lattice import MAX_STABLE_EDGES, Component, decompose, enumerate_stable
+from .lattice import MAX_STABLE_EDGES, decompose, enumerate_stable
 from .matchings import Matching
 from .simplex import solve_lp
 
@@ -29,7 +33,7 @@ HALF = Fraction(1, 2)
 
 
 class Witness(NamedTuple):
-    """A graph edge certifying non-adjacency.
+    """A deleted graph edge certifying non-adjacency (removed_edge_witness).
 
     ``dominant`` names the matching (1 or 2) that strictly out-ranks the
     edge at both of its endpoints; the other matching out-ranks it at
@@ -38,20 +42,6 @@ class Witness(NamedTuple):
 
     edge: Edge
     dominant: int
-
-
-def uniformly_oriented(instance: Instance, m1: Matching, m2: Matching) -> bool:
-    """True when all difference components lean toward the same matching.
-
-    Mixed leanings already rule out adjacency: flipping each group of
-    components separately writes the midpoint as a combination of two
-    other stable matchings.
-    """
-    return _leans_one_way(decompose(instance, m1, m2).components)
-
-
-def _leans_one_way(components: Sequence[Component]) -> bool:
-    return len({c.a_prefers for c in components}) <= 1
 
 
 def _dominated_by(host: Instance, edge: Edge, m1: Matching, m2: Matching) -> int | None:
@@ -70,35 +60,6 @@ def _dominated_by(host: Instance, edge: Edge, m1: Matching, m2: Matching) -> int
             and not (weak.edges & (at_a | at_b))
         ):
             return dominant
-    return None
-
-
-def nonadjacency_witness(instance: Instance, m1: Matching, m2: Matching) -> Witness | None:
-    """Scan for an edge one matching dominates twice and the other never.
-
-    Returns the first hit in canonical edge order, trying the first
-    matching in the dominant role before the second; None when no edge
-    qualifies. Both inputs must be stable for the certificate to mean
-    anything, which decompose() enforces.
-
-    For two matchings that are both stable on the scanned instance this
-    always returns None: stability of the weak matching forces it to
-    contain any edge it beats at neither endpoint, and then both of the
-    edge's nodes sit in one difference component preferring the strong
-    matching, which the orientation lemma forbids. The scan is kept so
-    that the vacuity is checked rather than assumed; the productive form
-    of the certificate lives in removed_edge_witness.
-    """
-    decompose(instance, m1, m2)
-    return _witness_scan(instance, m1, m2)
-
-
-def _witness_scan(instance: Instance, m1: Matching, m2: Matching) -> Witness | None:
-    """nonadjacency_witness without the stability check."""
-    for edge in sorted(instance.edges):
-        dominant = _dominated_by(instance, edge, m1, m2)
-        if dominant is not None:
-            return Witness(edge, dominant)
     return None
 
 
@@ -126,30 +87,6 @@ def removed_edge_witness(
     if dominant is None:
         return None
     return Witness(edge, dominant)
-
-
-def convex_decompose(
-    instance: Instance,
-    point: Sequence[Fraction],
-    forbidden: Iterable[Matching] = (),
-    max_edges: int = MAX_STABLE_EDGES,
-) -> dict[Matching, Fraction] | None:
-    """Write a point as a convex combination of stable matchings.
-
-    Only matchings outside ``forbidden`` may carry weight. Returns the
-    weights found, or None when no combination exists.
-    """
-    banned = {m for m in forbidden}
-    allowed = [m for m in enumerate_stable(instance, max_edges) if m not in banned]
-    columns = instance.canonical_edges()
-    if len(point) != len(columns):
-        raise ValueError("point dimension does not match the edge count")
-    constraints = _decomposition_rows(columns, allowed, point)
-    [result] = solve_lp(len(allowed), constraints, [[ZERO] * len(allowed)], "min")
-    if result.status != "optimal":
-        return None
-    assert result.point is not None
-    return {m: w for m, w in zip(allowed, result.point) if w != 0}
 
 
 def _decomposition_rows(
@@ -208,16 +145,17 @@ def _exact_adjacency(
 
 @dataclass(frozen=True)
 class AdjacencyVerdict:
-    """All three routes on one pair, with their agreement enforced.
+    """Both routes on one pair, with their agreement enforced.
 
-    ``alternative`` is a decomposition of the midpoint that gives weight
-    to some rival matching, present exactly when the pair is not
-    adjacent and at least one rival can take weight.
+    ``adjacent`` is the exact midpoint verdict and ``uniform`` the
+    orientation test; an adjacent pair with mixed leanings would mean one
+    of them is wrong. ``alternative`` is a decomposition of the midpoint
+    that gives weight to some rival matching, present exactly when the
+    pair is not adjacent and at least one rival can take weight.
     """
 
     adjacent: bool
     uniform: bool
-    witness: Witness | None
     maxima: tuple[tuple[Matching, Fraction], ...]
     alternative: dict[Matching, Fraction] | None
 
@@ -227,22 +165,11 @@ class AdjacencyVerdict:
                 "pair is adjacent yet its difference components disagree; "
                 "one of the two routes is wrong"
             )
-        if self.adjacent and self.witness is not None:
-            raise AssertionError(
-                "pair is adjacent yet a domination witness exists; "
-                "one of the two routes is wrong"
-            )
 
     def to_json(self, instance: Instance) -> dict:
         return {
             "adjacent": self.adjacent,
             "uniformly_oriented": self.uniform,
-            "witness": None
-            if self.witness is None
-            else {
-                "edge": instance.edge_name(self.witness.edge),
-                "dominant": self.witness.dominant,
-            },
             "rival_maxima": {m.label(instance): str(v) for m, v in self.maxima},
             "alternative": None
             if self.alternative is None
@@ -254,11 +181,10 @@ def adjacency_verdict(
     instance: Instance, m1: Matching, m2: Matching, max_edges: int = MAX_STABLE_EDGES
 ) -> AdjacencyVerdict:
     adjacent, maxima, alternative = _exact_adjacency(instance, m1, m2, max_edges)
-    components = decompose(instance, m1, m2).components
+    deco = decompose(instance, m1, m2)
     return AdjacencyVerdict(
         adjacent=adjacent,
-        uniform=_leans_one_way(components),
-        witness=_witness_scan(instance, m1, m2),
+        uniform=not (deco.flip_to_favour_a and deco.flip_to_favour_b),
         maxima=tuple(maxima),
         alternative=alternative,
     )

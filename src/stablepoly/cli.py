@@ -160,12 +160,11 @@ def _cmd_adjacency(args: argparse.Namespace) -> int:
             }
         )
     table = "\n".join(
-        "{} | {} -> {}{}{}".format(
+        "{} | {} -> {}{}".format(
             m1.label(instance),
             m2.label(instance),
             "adjacent" if r["verdict"]["adjacent"] else "not adjacent",
             "" if r["verdict"]["uniformly_oriented"] else ", mixed orientation",
-            "" if r["verdict"]["witness"] is None else ", witness " + r["verdict"]["witness"]["edge"],
         )
         for (m1, m2), r in zip(pairs, records)
     )

@@ -8,6 +8,7 @@ clarity beats speed throughout.
 
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
 from types import SimpleNamespace
 
 
@@ -97,6 +98,28 @@ def filter_stable(instance):
     return sorted(found)
 
 
+def dominance_witness(instance, p, q):
+    """The first edge, in sorted order, that one matching beats at both
+    endpoints while the other beats it at neither.
+
+    ``p`` and ``q`` are sets of (i, j) pairs. Returns ((i, j), 1) when
+    ``p`` is the one that beats it, ((i, j), 2) when ``q`` is, and None
+    when no edge qualifies.
+    """
+    for i, j in edge_pairs(instance):
+        a_list, b_list = instance.a_prefs[i], instance.b_prefs[j]
+        better_at_a = {(i, k) for k in a_list[: a_list.index(j)]}
+        better_at_b = {(k, j) for k in b_list[: b_list.index(i)]}
+        for dominant, strong, weak in ((1, p, q), (2, q, p)):
+            if (
+                strong & better_at_a
+                and strong & better_at_b
+                and not weak & (better_at_a | better_at_b)
+            ):
+                return (i, j), dominant
+    return None
+
+
 def max_weight_stable(instance, weights):
     """Best total weight over the brute-force stable list.
 
@@ -165,22 +188,65 @@ def basis_points(system):
     Solves every square subsystem of the rows and keeps the solutions
     that satisfy all rows. This is C(rows, columns) solves, so keep the
     system small; it reads only each row's columns, coefficients,
-    relation and right-hand side.
+    relation and right-hand side. Each row is scaled once to integers,
+    so the solves and the feasibility test run on integers and only the
+    kept points become Fractions.
     """
     width = len(system.columns)
-
-    def dense(row):
-        out = [Fraction(0)] * width
-        for c, w in zip(row.cols, row.coeffs):
-            out[c] = w
-        return out
-
+    rows = [_integer_row(row, width) for row in system.rows]
     found = set()
-    for subset in combinations(system.rows, width):
-        solution = solve_square([dense(row) for row in subset], [row.rhs for row in subset])
-        if solution is not None and all(slack(row, solution) >= 0 for row in system.rows):
-            found.add(tuple(solution))
-    return sorted(found)
+    for subset in combinations(rows, width):
+        solution = _integer_solve(subset)
+        if solution is None:
+            continue
+        nums, den = solution
+        if all(sum(a * x for a, x in zip(coeffs, nums)) <= rhs * den for coeffs, rhs in rows):
+            found.add(solution)
+    return sorted(tuple(Fraction(x, den) for x in nums) for nums, den in found)
+
+
+def _integer_row(row, width):
+    """A row as dense integer coefficients and right-hand side that read
+    ``coeffs . x <= rhs``: scaled by the lcm of its denominators, and
+    negated when the row is a ``>=`` row."""
+    values = [Fraction(0)] * width + [Fraction(row.rhs)]
+    for c, w in zip(row.cols, row.coeffs):
+        values[c] = Fraction(w)
+    scale = lcm(*[v.denominator for v in values])
+    if row.relation == ">=":
+        scale = -scale
+    ints = [int(v * scale) for v in values]
+    return ints[:-1], ints[-1]
+
+
+def _integer_solve(rows):
+    """Solve a square integer system by fraction-free Gauss-Jordan.
+
+    Each step cross-multiplies by the pivot and divides exactly by the
+    previous one, so at the end every diagonal entry is the last pivot.
+    Returns the solution as (numerators, denominator) in lowest terms
+    with a positive denominator, or None when the system is singular.
+    """
+    n = len(rows)
+    aug = [list(coeffs) + [rhs] for coeffs, rhs in rows]
+    prev = 1
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if aug[r][col]), None)
+        if pivot is None:
+            return None
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        head = aug[col]
+        p = head[col]
+        for r in range(n):
+            if r != col:
+                f = aug[r][col]
+                aug[r] = [(p * a - f * b) // prev for a, b in zip(aug[r], head)]
+        prev = p
+    nums = [row[n] for row in aug]
+    g = gcd(prev, *nums)
+    if prev < 0:
+        g = -g
+    return tuple(x // g for x in nums), prev // g
 
 
 # -- linear programming reference route ---------------------------------
@@ -331,3 +397,27 @@ def fraction_solve_lp(num_vars, constraints, objective, sense="max", log=None):
             point[basis[i]] = tableau[i][-1]
     value = sum((goal[j] * point[j] for j in range(num_vars)), zero)
     return SimpleNamespace(status="optimal", point=tuple(point), value=value)
+
+
+def convex_decompose(instance, point, forbidden=()):
+    """Write ``point`` as a convex combination of stable matchings by LP.
+
+    ``point`` has one coordinate per edge of ``edge_pairs``; matchings
+    are frozensets of (i, j) pairs, and those in ``forbidden`` carry no
+    weight. Returns the weights found, or None when no combination
+    exists.
+    """
+    columns = edge_pairs(instance)
+    if len(point) != len(columns):
+        raise ValueError("point dimension does not match the edge count")
+    banned = {frozenset(m) for m in forbidden}
+    pool = [m for m in stable_sets(instance) if m not in banned]
+    rows = [
+        ([(k, 1) for k, m in enumerate(pool) if edge in m], "=", point[c])
+        for c, edge in enumerate(columns)
+    ]
+    rows.append(([(k, 1) for k in range(len(pool))], "=", 1))
+    result = fraction_solve_lp(len(pool), rows, [0] * len(pool), "min")
+    if result.status != "optimal":
+        return None
+    return {m: w for m, w in zip(pool, result.point) if w != 0}

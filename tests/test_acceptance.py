@@ -24,11 +24,7 @@ import pytest
 from stablepoly import lattice as lattice_mod
 from stablepoly import matchings as matchings_mod
 from stablepoly import polytope as polytope_mod
-from stablepoly.adjacency import (
-    adjacency_verdict,
-    nonadjacency_witness,
-    removed_edge_witness,
-)
+from stablepoly.adjacency import adjacency_verdict, removed_edge_witness
 from stablepoly.instances import (
     Edge,
     Instance,
@@ -44,7 +40,7 @@ from stablepoly.matchings import Matching, gale_shapley, is_stable
 from stablepoly.polytope import build_system
 from stablepoly.verification import verify_instance
 
-from oracles import max_weight_stable
+from oracles import dominance_witness, max_weight_stable
 
 SEED = 20260819
 SAMPLE_3X3 = 2500
@@ -246,26 +242,30 @@ def test_criterion_5_swap_closure(all_results, announce):
 
 def test_criterion_6_adjacency_implications(all_results, announce):
     pairs = 0
-    in_graph_hits = 0
     problems = []
     for result in all_results:
+        inst = result.instance
         for m1, m2 in itertools.combinations(result.stable, 2):
             try:
-                verdict = adjacency_verdict(result.instance, m1, m2)
+                verdict = adjacency_verdict(inst, m1, m2)
             except AssertionError as exc:
-                problems.append((result.instance, str(exc)))
+                problems.append((inst, str(exc)))
                 continue
             pairs += 1
             if verdict.adjacent and not verdict.uniform:
-                problems.append((result.instance, "adjacent but mixed orientation"))
-            if verdict.witness is not None:
-                in_graph_hits += 1
+                problems.append((inst, "adjacent but mixed orientation"))
+            # stability forbids an in-graph witness: the weak matching
+            # would have to contain the edge, putting both endpoints in
+            # one component that leans the strong way
+            witness = dominance_witness(inst, m1.edges, m2.edges)
+            if witness is not None:
+                problems.append((inst, "in-graph dominance witness", witness))
                 if verdict.adjacent:
-                    problems.append((result.instance, "adjacent despite witness"))
+                    problems.append((inst, "adjacent despite witness"))
 
-    # the detector has no in-graph witnesses on stable pairs, so its
-    # non-vacuity is shown on a derived pair: delete one edge, keep its
-    # rank information, and the leftover dominance separates the pair
+    # with no in-graph witness possible, the detector's non-vacuity is
+    # shown on a derived pair: delete one edge, keep its rank
+    # information, and the leftover dominance separates the pair
     with open(FIXTURES / "witness_pair.json") as fh:
         doc = json.load(fh)
     host = instance_from_json(doc["host"])
@@ -279,7 +279,7 @@ def test_criterion_6_adjacency_implications(all_results, announce):
         witness is not None
         and witness.dominant == doc["dominant"]
         and not adjacency_verdict(reduced, w1, w2).adjacent
-        and nonadjacency_witness(reduced, w1, w2) is None
+        and dominance_witness(reduced, w1.edges, w2.edges) is None
     )
     if not fixture_ok:
         problems.append(("derived fixture", witness))
@@ -289,8 +289,8 @@ def test_criterion_6_adjacency_implications(all_results, announce):
         6,
         ok,
         f"{pairs} stable pairs: adjacency always implies uniform leanings and "
-        f"never coexists with a dominance witness ({in_graph_hits} in-graph hits, "
-        "which stability forces); the derived deleted-edge pair fires the detector",
+        "no pair has an in-graph dominance witness, as stability forces; the "
+        "derived deleted-edge pair fires the detector",
     )
     assert ok, problems[:3]
 
