@@ -6,6 +6,25 @@ Two routes of different strength, kept deliberately separate:
 * the exact test: the segment midpoint admits no convex combination of
   stable matchings other than the trivial half-half one.
 
+The exact test reads the largest weight each rival stable matching can
+take in such a combination off the edge sets alone (the incidence-sum
+rule). The region is the convex hull of the stable incidence vectors,
+and an injective affine map carries it onto the order polytope of the
+rotation poset (Irving & Leather 1986; Aprile, Cevallos & Faenza 2018),
+whose vertices are the indicators of the closed sets. There the
+midpoint of I and J is 1 on their intersection, 1/2 on their symmetric
+difference Q and 0 elsewhere. A rival K with weight w > 0 lies between
+the intersection and the union. Take it out and rescale: the rest is
+(1/2 - w)/(1 - w) on K & Q and 1/(2(1 - w)) on Q - K, so w <= 1/2, and
+the rest lies in the order polytope only if Q - K is closed within Q.
+Then I + J - K is the indicator of a closed set, and K takes weight 1/2
+against it. So every rival's largest weight is 0 or exactly 1/2. For
+the pair u, v and a rival m it is 1/2 exactly when u + v - m is a
+stable incidence vector. That needs m inside u | v, and then the vector
+is the one of u ^ v ^ m: every stable matching covers the same nodes
+(Gale & Sotomayor 1985), so m holds u & v. The pair is adjacent exactly
+when every rival scores 0.
+
 The exact route never consults the orientation, so the implication is
 checked against it instead of being true by construction.
 
@@ -20,15 +39,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from .instances import Edge, Instance, remove_edge
 from .lattice import MAX_STABLE_EDGES, decompose, enumerate_stable
 from .matchings import Matching
-from .simplex import solve_lp
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 HALF = Fraction(1, 2)
 
 
@@ -89,56 +106,32 @@ def removed_edge_witness(
     return Witness(edge, dominant)
 
 
-def _decomposition_rows(
-    columns: Sequence[Edge], pool: Sequence[Matching], point: Sequence[Fraction]
-) -> list[tuple[list[tuple[int, Fraction]], str, Fraction]]:
-    rows: list[tuple[list[tuple[int, Fraction]], str, Fraction]] = []
-    for j, edge in enumerate(columns):
-        terms = [(k, ONE) for k, m in enumerate(pool) if edge in m.edges]
-        rows.append((terms, "=", Fraction(point[j])))
-    rows.append(([(k, ONE) for k in range(len(pool))], "=", ONE))
-    return rows
-
-
-def _midpoint(columns: Sequence[Edge], m1: Matching, m2: Matching) -> tuple[Fraction, ...]:
-    return tuple(
-        HALF * ((e in m1.edges) + (e in m2.edges)) for e in columns
-    )
-
-
 def _exact_adjacency(
     instance: Instance, m1: Matching, m2: Matching, max_edges: int
 ) -> tuple[bool, list[tuple[Matching, Fraction]], dict[Matching, Fraction] | None]:
-    """The midpoint test: maximise each rival's weight.
+    """The midpoint test by the incidence-sum rule: each rival's largest
+    weight is 1/2 when u + v - m is another stable matching, else 0.
 
-    The pair spans an edge exactly when every rival matching is forced to
-    weight zero in every decomposition of the midpoint. Every rival's LP
-    has the same rows, so one solve_lp call takes all their objectives.
+    ``alternative`` is the half-half decomposition of the midpoint by the
+    first rival that has such a partner; the partner is a rival listed
+    after it, so the decomposition is in stable order.
     """
     if m1 == m2:
         raise ValueError("adjacency needs two distinct matchings")
     stable = enumerate_stable(instance, max_edges)
     if m1 not in stable or m2 not in stable:
         raise ValueError("adjacency is defined between stable matchings only")
-    columns = instance.canonical_edges()
-    midpoint = _midpoint(columns, m1, m2)
-    constraints = _decomposition_rows(columns, stable, midpoint)
-    rivals = [k for k, m in enumerate(stable) if m != m1 and m != m2]
-    objectives = [[ONE if i == k else ZERO for i in range(len(stable))] for k in rivals]
-    results = solve_lp(len(stable), constraints, objectives, "max") if rivals else []
+    by_edges = {m.edges: m for m in stable}
+    union = m1.edges | m2.edges
     maxima: list[tuple[Matching, Fraction]] = []
     alternative: dict[Matching, Fraction] | None = None
-    for k, result in zip(rivals, results):
-        if result.status != "optimal":
-            raise AssertionError(
-                "midpoint of two stable matchings must be decomposable"
-            )
-        assert result.value is not None and result.point is not None
-        maxima.append((stable[k], result.value))
-        if result.value > 0 and alternative is None:
-            alternative = {
-                stable[i]: w for i, w in enumerate(result.point) if w != 0
-            }
+    for m in stable:
+        if m == m1 or m == m2:
+            continue
+        partner = by_edges.get(m1.edges ^ m2.edges ^ m.edges) if m.edges <= union else None
+        maxima.append((m, ZERO if partner is None else HALF))
+        if partner is not None and alternative is None:
+            alternative = {m: HALF, partner: HALF}
     adjacent = all(v == 0 for _, v in maxima)
     return adjacent, maxima, alternative
 

@@ -149,8 +149,7 @@ class ConstraintSystem:
             if row.is_sign:
                 continue  # the solver holds variables nonnegative already
             constraints.append((list(zip(row.cols, row.coeffs)), row.relation, row.rhs))
-        [result] = solve_lp(len(self.columns), constraints, [objective], sense)
-        return result
+        return solve_lp(len(self.columns), constraints, objective, sense)
 
     def enumerate_vertices(self, max_edges: int = MAX_VERTEX_COLUMNS) -> VertexReport:
         """All extreme points, exact, with a tight-row basis per vertex.

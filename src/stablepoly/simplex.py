@@ -31,14 +31,6 @@ Every choice reads only signs and cross-multiplied ratios, so the
 pivots are the ones the rational tableau takes, and Fractions are
 built only for the returned point, whose value is computed from the
 caller's unscaled objective.
-
-One call solves any number of objectives over one constraint system.
-Validation, the row scaling, the tableau build, phase one, the clean-up
-pivots (with their negation) and the redundant-row drops read no
-objective, so they run once per call. Each objective then runs its own
-phase two from the feasible basis they leave, on a copy of the tableau
-(the last objective takes the original). The pivots of each objective
-are thus the ones a call with that objective alone would take.
 """
 
 from __future__ import annotations
@@ -122,23 +114,20 @@ def _iterate(
 def solve_lp(
     num_vars: int,
     constraints: Sequence[Constraint],
-    objectives: Sequence[Sequence[Fraction]],
+    objective: Sequence[Fraction],
     sense: str = "max",
-) -> list[LpResult]:
-    """Optimize each linear objective over one system of constraints.
+) -> LpResult:
+    """Optimize a linear objective over the given constraints.
 
     Constraints are (sparse terms, relation, rhs) with relation one of
     "<=", ">=", "="; every variable is additionally held nonnegative.
-    Returns one result per objective, in order. Phase one and its
-    clean-up run once; each objective gets its own phase two.
     """
     if sense not in ("max", "min"):
         raise ValueError(f"unknown sense {sense!r}")
-    goals: list[list[Fraction]] = []
-    for objective in objectives:
-        if len(objective) != num_vars:
-            raise ValueError("objective length does not match variable count")
-        goals.append([Fraction(c) for c in objective])
+    if len(objective) != num_vars:
+        raise ValueError("objective length does not match variable count")
+    goal = [Fraction(c) for c in objective]
+    cost_vec, _ = scale_to_integers([-c for c in goal] if sense == "max" else goal)
 
     rows: list[list[int]] = []
     scales: list[int] = []
@@ -160,8 +149,6 @@ def solve_lp(
         rows.append(row)
         scales.append(scale)
         relations.append(relation)
-    if not goals:
-        return []
 
     m = len(rows)
     slack_count = sum(1 for rel in relations if rel in ("<=", ">="))
@@ -206,7 +193,7 @@ def solve_lp(
         if status != "optimal":
             raise AssertionError("phase one cannot be unbounded")
         if any(tableau[i][-1] != 0 for i in range(m) if basis[i] >= art_start):
-            return [LpResult("infeasible", None, None) for _ in goals]
+            return LpResult("infeasible", None, None)
         # Pivot leftover artificials out on any real column; a row with no
         # real coefficients left is a redundant constraint and gets dropped.
         # Such a pivot element may be negative: negating the whole tableau
@@ -229,44 +216,13 @@ def solve_lp(
             del basis[i]
 
     tableau = [row[:art_start] + [row[-1]] for row in tableau]
-    last = len(goals) - 1
-    # _pivot replaces rows and never writes into one, so a copy of the row
-    # list and of the basis is a private tableau; the last objective takes
-    # the shared one.
-    return [
-        _phase_two(
-            tableau if k == last else list(tableau),
-            basis if k == last else list(basis),
-            goal,
-            sense,
-            slack_count,
-            d,
-        )
-        for k, goal in enumerate(goals)
-    ]
-
-
-def _phase_two(
-    tableau: list[list[int]],
-    basis: list[int],
-    goal: list[Fraction],
-    sense: str,
-    slack_count: int,
-    d: int,
-) -> LpResult:
-    """Optimize ``goal`` from the feasible basis that phase one left.
-
-    ``tableau`` holds no artificial columns and is pivoted in place.
-    """
-    num_vars = len(goal)
-    cost_vec, _ = scale_to_integers([-c for c in goal] if sense == "max" else goal)
     full_cost = cost_vec + [0] * slack_count
     reduced = [d * c for c in full_cost]
     for i, row in enumerate(tableau):
         weight = full_cost[basis[i]]
         if weight:
             reduced = [a - weight * b for a, b in zip(reduced, row[:-1])]
-    status, d = _iterate(tableau, basis, reduced, num_vars + slack_count, d)
+    status, d = _iterate(tableau, basis, reduced, art_start, d)
     if status == "unbounded":
         return LpResult("unbounded", None, None)
 

@@ -421,3 +421,56 @@ def convex_decompose(instance, point, forbidden=()):
     if result.status != "optimal":
         return None
     return {m: w for m, w in zip(pool, result.point) if w != 0}
+
+
+# -- adjacency reference route ------------------------------------------
+
+_POOLS = {}
+
+
+def _stable_pool(instance):
+    """``filter_stable`` of ``instance``, computed once per preference table."""
+    key = (instance.a_prefs, instance.b_prefs)
+    if key not in _POOLS:
+        _POOLS[key] = filter_stable(instance)
+    return _POOLS[key]
+
+
+def midpoint_lp(instance, p, q):
+    """The stable pool and the rows that write the midpoint of ``p`` and
+    ``q`` as a convex combination of it.
+
+    ``p`` and ``q`` are collections of (i, j) pairs. The pool is the
+    ``filter_stable`` list, one variable per member; the rows are one
+    equality per ``edge_pairs`` column and one for the total weight.
+    """
+    pool = _stable_pool(instance)
+    p, q = set(p), set(q)
+    rows = []
+    for edge in edge_pairs(instance):
+        terms = [(k, 1) for k, m in enumerate(pool) if edge in m]
+        rows.append((terms, "=", Fraction((edge in p) + (edge in q), 2)))
+    rows.append(([(k, 1) for k in range(len(pool))], "=", 1))
+    return pool, rows
+
+
+def midpoint_maxima(instance, p, q):
+    """Each rival's largest weight in a decomposition of the midpoint of
+    ``p`` and ``q``, one ``fraction_solve_lp`` maximum per rival.
+
+    The rivals are the pool members other than ``p`` and ``q``, in pool
+    order; each entry is (rival, maximum), the rival a tuple of sorted
+    (i, j) pairs.
+    """
+    pool, rows = midpoint_lp(instance, p, q)
+    ends = {tuple(sorted(p)), tuple(sorted(q))}
+    maxima = []
+    for k, m in enumerate(pool):
+        if m in ends:
+            continue
+        objective = [int(i == k) for i in range(len(pool))]
+        result = fraction_solve_lp(len(pool), rows, objective, "max")
+        if result.status != "optimal":
+            raise AssertionError("the midpoint of two stable matchings must be decomposable")
+        maxima.append((m, result.value))
+    return maxima

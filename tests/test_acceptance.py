@@ -9,7 +9,9 @@ whole, the complete 3x3 family is sampled by index (full exhaustion of
 all 46656 instances plus the pairwise checks that reuse them does not
 fit the time budget on one core; the sample is decoded from indices so
 the run never materializes the rest), and the random family redraws
-until the edge budget holds.
+until the edge budget holds. Criteria 4-6 also run on the rich-lattice
+family of ``corpora.golden_instances``, which reaches the non-adjacent
+and mixed-orientation pairs that the families above never produce.
 """
 
 import itertools
@@ -21,13 +23,13 @@ from pathlib import Path
 
 import pytest
 
+from stablepoly import adjacency as adjacency_mod
 from stablepoly import lattice as lattice_mod
 from stablepoly import matchings as matchings_mod
 from stablepoly import polytope as polytope_mod
 from stablepoly.adjacency import adjacency_verdict, removed_edge_witness
 from stablepoly.instances import (
     Edge,
-    Instance,
     SIDE_A,
     SIDE_B,
     exhaustive_complete,
@@ -35,16 +37,22 @@ from stablepoly.instances import (
     random_instance,
     remove_edge,
 )
-from stablepoly.lattice import SwapStabilityError, UniformityError, decompose, meet_join
+from stablepoly.lattice import (
+    SwapStabilityError,
+    UniformityError,
+    decompose,
+    enumerate_stable,
+    meet_join,
+)
 from stablepoly.matchings import Matching, gale_shapley, is_stable
 from stablepoly.polytope import build_system
 from stablepoly.verification import verify_instance
 
-from oracles import dominance_witness, max_weight_stable
+from corpora import complete3, golden_instances
+from oracles import dominance_witness, max_weight_stable, midpoint_maxima
 
 SEED = 20260819
 SAMPLE_3X3 = 2500
-PERMS3 = sorted(itertools.permutations(range(3)))
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
@@ -62,20 +70,6 @@ def announce(request):
             print(line, flush=True)
 
     return _announce
-
-
-def complete3(index: int) -> Instance:
-    """Decode one complete 3x3 instance from its table index.
-
-    Six base-6 digits pick the six permutations, low digit first; the
-    encoding is a bijection onto the 46656-member family.
-    """
-    rows = []
-    k = index
-    for _ in range(6):
-        k, digit = divmod(k, 6)
-        rows.append(PERMS3[digit])
-    return Instance(3, 3, tuple(rows[:3]), tuple(rows[3:]))
 
 
 @pytest.fixture(scope="session")
@@ -114,6 +108,21 @@ def random_results(random_corpus):
 @pytest.fixture(scope="session")
 def all_results(complete_results, random_results):
     return complete_results + random_results
+
+
+@pytest.fixture(scope="session")
+def rich_lattices():
+    """Each rich-lattice instance with its stable matchings."""
+    return [
+        (inst, enumerate_stable(inst, max_edges=len(inst.edges)))
+        for _, inst in golden_instances()
+    ]
+
+
+@pytest.fixture(scope="session")
+def stable_lists(all_results, rich_lattices):
+    """(instance, stable matchings) for criteria 4-6."""
+    return [(r.instance, r.stable) for r in all_results] + rich_lattices
 
 
 def test_criterion_1_complete_families(complete_results, announce):
@@ -183,14 +192,14 @@ def test_criterion_3_lp_integrality(announce):
     assert ok, problems[:3]
 
 
-def test_criterion_4_orientation_uniformity(all_results, announce):
+def test_criterion_4_orientation_uniformity(stable_lists, announce):
     pairs = 0
     components = 0
     problems = []
-    for result in all_results:
-        for m1, m2 in itertools.combinations(result.stable, 2):
+    for inst, stable in stable_lists:
+        for m1, m2 in itertools.combinations(stable, 2):
             try:
-                deco = decompose(result.instance, m1, m2)
+                deco = decompose(inst, m1, m2)
             except UniformityError as exc:
                 problems.append(exc.certificate)
                 continue
@@ -206,13 +215,12 @@ def test_criterion_4_orientation_uniformity(all_results, announce):
     assert ok, problems[:3]
 
 
-def test_criterion_5_swap_closure(all_results, announce):
+def test_criterion_5_swap_closure(stable_lists, announce):
     pairs = 0
     problems = []
-    for result in all_results:
-        inst = result.instance
+    for inst, stable in stable_lists:
         columns = inst.canonical_edges()
-        for m1, m2 in itertools.combinations(result.stable, 2):
+        for m1, m2 in itertools.combinations(stable, 2):
             try:
                 meet, join = meet_join(inst, m1, m2)
             except SwapStabilityError as exc:
@@ -240,14 +248,46 @@ def test_criterion_5_swap_closure(all_results, announce):
     assert ok, problems[:3]
 
 
-def test_criterion_6_adjacency_implications(all_results, announce):
+def as_pairs(matching):
+    return tuple(sorted((e.a, e.b) for e in matching.edges))
+
+
+def lp_disagreements(inst, m1, m2, verdict):
+    """How a verdict departs from the midpoint LP over the brute-force
+    stable pool: its rival maxima, the adjacency they imply, and its
+    alternative decomposition of the midpoint."""
+    problems = []
+    maxima = [(as_pairs(m), v) for m, v in verdict.maxima]
+    if maxima != midpoint_maxima(inst, as_pairs(m1), as_pairs(m2)):
+        problems.append((inst, "rival maxima differ from the LP oracle", maxima))
+    if verdict.adjacent != all(v == 0 for _, v in verdict.maxima):
+        problems.append((inst, "adjacent disagrees with the rival maxima", maxima))
+    alternative = verdict.alternative
+    if (alternative is None) != verdict.adjacent:
+        problems.append((inst, "alternative present exactly when not adjacent", alternative))
+    elif alternative is not None:
+        mixes = {
+            e: sum((w for m, w in alternative.items() if e in m.edges), Fraction(0))
+            for e in inst.canonical_edges()
+        }
+        midpoint = {e: Fraction((e in m1.edges) + (e in m2.edges), 2) for e in mixes}
+        if (
+            sum(alternative.values()) != 1
+            or min(alternative.values()) <= 0
+            or not set(alternative) - {m1, m2}
+            or mixes != midpoint
+        ):
+            problems.append((inst, "alternative is no rival decomposition", alternative))
+    return problems
+
+
+def test_criterion_6_adjacency_implications(stable_lists, rich_lattices, announce):
     pairs = 0
     problems = []
-    for result in all_results:
-        inst = result.instance
-        for m1, m2 in itertools.combinations(result.stable, 2):
+    for inst, stable in stable_lists:
+        for m1, m2 in itertools.combinations(stable, 2):
             try:
-                verdict = adjacency_verdict(inst, m1, m2)
+                verdict = adjacency_verdict(inst, m1, m2, max_edges=len(inst.edges))
             except AssertionError as exc:
                 problems.append((inst, str(exc)))
                 continue
@@ -284,13 +324,29 @@ def test_criterion_6_adjacency_implications(all_results, announce):
     if not fixture_ok:
         problems.append(("derived fixture", witness))
 
+    # the rich lattices reach non-adjacent and mixed pairs; there each
+    # verdict is held against the midpoint LP, one maximum per rival
+    rich_pairs = nonadjacent = mixed = 0
+    for inst, stable in rich_lattices:
+        for m1, m2 in itertools.combinations(stable, 2):
+            verdict = adjacency_verdict(inst, m1, m2, max_edges=len(inst.edges))
+            rich_pairs += 1
+            nonadjacent += not verdict.adjacent
+            mixed += not verdict.uniform
+            problems.extend(lp_disagreements(inst, m1, m2, verdict))
+    if not (nonadjacent and mixed):
+        problems.append(("rich lattices", "no non-adjacent or no mixed pair", nonadjacent, mixed))
+
     ok = not problems
     announce(
         6,
         ok,
         f"{pairs} stable pairs: adjacency always implies uniform leanings and "
-        "no pair has an in-graph dominance witness, as stability forces; the "
-        "derived deleted-edge pair fires the detector",
+        "no pair has an in-graph dominance witness, as stability forces; on "
+        f"the {rich_pairs} rich-lattice pairs ({nonadjacent} non-adjacent, "
+        f"{mixed} mixed) every rival maximum equals the midpoint LP's and each "
+        "alternative decomposes the midpoint; the derived deleted-edge pair "
+        "fires the detector",
     )
     assert ok, problems[:3]
 
@@ -342,7 +398,7 @@ def test_criterion_8_independent_routes_agree(all_results, announce):
     ):
         if re.search(rf"\b{name}\b", geometry_src):
             problems.append(f"geometry module mentions {name}")
-    for mod in (matchings_mod, lattice_mod):
+    for mod in (matchings_mod, lattice_mod, adjacency_mod):
         src = Path(mod.__file__).read_text(encoding="utf-8")
         for banned in ("polytope", "simplex", "linalg"):
             if re.search(rf"\bfrom\s+\.{banned}\b|\bimport\s+\.?{banned}\b", src):

@@ -1,7 +1,6 @@
 import hashlib
 import itertools
 import json
-import random
 from fractions import Fraction
 
 import pytest
@@ -12,12 +11,12 @@ from stablepoly.adjacency import (
     adjacency_verdict,
     removed_edge_witness,
 )
-from stablepoly.instances import Edge, Instance, instance_from_json, random_instances, remove_edge
+from stablepoly.instances import Edge, instance_from_json, random_instances, remove_edge
 from stablepoly.lattice import enumerate_stable
 from stablepoly.matchings import Matching
 
+from corpora import golden_instances
 from oracles import convex_decompose, dominance_witness
-from test_lattice import blocks, latin
 
 F = Fraction
 HALF = F(1, 2)
@@ -216,29 +215,6 @@ def test_adjacency_implies_uniformity_everywhere():
     assert seen_nonuniform >= 1
 
 
-def golden_instances():
-    """Rich lattices: block unions (k = 2 is the opposed4 fixture), cyclic
-    Latin squares, and seeded complete 4x4/5x5 draws with at least three
-    stable matchings (with two there is no rival, so no LP to pin)."""
-    yield "blocks2", blocks(2)
-    yield "blocks3", blocks(3)
-    for n in (4, 5, 6):
-        yield f"latin{n}", latin(n)
-    rng = random.Random(808)
-    for n, wanted in ((4, 20), (5, 20)):
-        kept = 0
-        while kept < wanted:
-            inst = Instance(
-                n,
-                n,
-                tuple(tuple(rng.sample(range(n), n)) for _ in range(n)),
-                tuple(tuple(rng.sample(range(n), n)) for _ in range(n)),
-            )
-            if len(enumerate_stable(inst, max_edges=n * n)) >= 3:
-                yield f"rand{n}.{kept}", inst
-                kept += 1
-
-
 def verdict_digest(inst):
     """sha256 over the verdict JSON of every stable pair, in enumeration order.
 
@@ -257,9 +233,9 @@ def verdict_digest(inst):
 
 
 # Digests of ``verdict_digest`` per instance, computed when every rival's
-# LP still ran its own phase one. ``test_verdict_golden`` never pins the
-# ``alternative`` point; these do, and it is the output that a wrong reuse
-# of the shared phase-one tableau would change first.
+# maximum still came from its own midpoint LP. ``test_verdict_golden``
+# never pins the ``alternative`` point; these do, and with the rival
+# maxima they are what the incidence-sum rule must reproduce byte for byte.
 VERDICT_DIGESTS = {
     "blocks2": "83a9aaf2ad8d872ef3e074e950f08e8520e8dd8f8844d6738f6c9e626d7107af",
     "blocks3": "ecb072015850462a76d76d886b486e9c561f5199ce77e19ced1d8f8eb2f74b7a",

@@ -96,20 +96,30 @@ def test_every_direct_library_call_in_workloads_binds():
 
 
 def test_adjacency_lps_run_on_the_traced_layer(opposed4):
-    # the traced run reads the adjacency LP time as simplex.solve_lp nested
-    # in adjacency_verdict; LPs routed around solve_lp would read 0 there
+    # the adjacency verdict runs no LP: the traced run must read no
+    # simplex.solve_lp call and one stable enumeration nested in it
     tracing = load_tracing()
     lib = SimpleNamespace(**{m: resolve(m) for m, *_ in tracing.TARGETS})
     m1 = Matching.from_edges([Edge(0, 0), Edge(1, 1), Edge(2, 3), Edge(3, 2)])
     m2 = Matching.from_edges([Edge(0, 1), Edge(1, 0), Edge(2, 2), Edge(3, 3)])
-    originals = (lib.adjacency.adjacency_verdict, lib.adjacency.solve_lp, lib.simplex.solve_lp)
+
+    def bound():
+        return (
+            lib.adjacency.adjacency_verdict,
+            lib.adjacency.enumerate_stable,
+            lib.lattice.enumerate_stable,
+            lib.simplex.solve_lp,
+        )
+
+    originals = bound()
     tracer = tracing.Tracer()
     tracer.install(lib)
     try:
         verdict = lib.adjacency.adjacency_verdict(opposed4, m1, m2)
     finally:
         tracer.restore()
-    assert (lib.adjacency.adjacency_verdict, lib.adjacency.solve_lp, lib.simplex.solve_lp) == originals
+    assert bound() == originals
     assert not verdict.adjacent and len(verdict.maxima) == 2
-    assert tracer.calls["simplex.solve_lp"] == 1
-    assert tracer.nested["adjacency.adjacency_verdict", "simplex.solve_lp"] == 1
+    assert tracer.calls["simplex.solve_lp"] == 0
+    assert tracer.calls["lattice.enumerate_stable"] == 1
+    assert tracer.nested["adjacency.adjacency_verdict", "lattice.enumerate_stable"] == 1

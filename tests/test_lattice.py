@@ -7,25 +7,8 @@ from stablepoly.instances import Edge, Instance, random_instances
 from stablepoly.lattice import decompose, enumerate_stable, meet_join, swap
 from stablepoly.matchings import Matching, is_stable
 
+from corpora import blocks, complete3, latin
 from oracles import filter_stable, is_stable_pairs, stable_sets
-from test_acceptance import complete3
-
-
-def blocks(k):
-    """k opposed 2x2 blocks side by side: 2^k stable matchings."""
-    a_prefs, b_prefs = [], []
-    for t in range(k):
-        lo, hi = 2 * t, 2 * t + 1
-        a_prefs += [(lo, hi), (hi, lo)]
-        b_prefs += [(hi, lo), (lo, hi)]
-    return Instance(2 * k, 2 * k, tuple(a_prefs), tuple(b_prefs))
-
-
-def latin(n):
-    """Cyclic Latin-square preferences: the n shifted diagonals are stable."""
-    a_prefs = tuple(tuple((i + k) % n for k in range(n)) for i in range(n))
-    b_prefs = tuple(tuple((j + 1 + k) % n for k in range(n)) for j in range(n))
-    return Instance(n, n, a_prefs, b_prefs)
 
 
 def draw(rng, a_count, b_count, p, one_sided):

@@ -13,8 +13,8 @@ from stablepoly.lattice import enumerate_stable
 from stablepoly.matchings import Matching
 from stablepoly.polytope import ConstraintSystem, Row, build_system
 
+from corpora import complete3
 from oracles import basis_points, cover_pairs, rank, slack
-from test_acceptance import complete3
 
 F = Fraction
 ZERO, ONE, HALF = F(0), F(1), F(1, 2)

@@ -5,27 +5,20 @@ from itertools import combinations, product
 
 import pytest
 
-from stablepoly import adjacency, polytope, simplex
-from stablepoly.adjacency import adjacency_verdict
-from stablepoly.instances import Instance, random_instance
-from stablepoly.lattice import enumerate_stable
+from stablepoly import polytope, simplex
+from stablepoly.instances import random_instance
 from stablepoly.polytope import build_system
 from stablepoly.simplex import solve_lp
 
-from oracles import fraction_solve_lp
+from corpora import latin
+from oracles import filter_stable, fraction_solve_lp, midpoint_lp
 
 F = Fraction
 
 
-def solve(num_vars, constraints, objective, sense="max"):
-    """solve_lp on a single objective."""
-    [result] = solve_lp(num_vars, constraints, [objective], sense)
-    return result
-
-
 def test_max_two_vars():
     # max x + y st x + 2y <= 4, 3x + y <= 6: optimum at (8/5, 6/5)
-    result = solve(
+    result = solve_lp(
         2,
         [
             ([(0, F(1)), (1, F(2))], "<=", F(4)),
@@ -40,7 +33,7 @@ def test_max_two_vars():
 
 def test_min_with_surplus():
     # min 2x + 3y st x + y >= 4, x <= 3
-    result = solve(
+    result = solve_lp(
         2,
         [
             ([(0, F(1)), (1, F(1))], ">=", F(4)),
@@ -55,7 +48,7 @@ def test_min_with_surplus():
 
 
 def test_equality_rows():
-    result = solve(
+    result = solve_lp(
         3,
         [
             ([(0, F(1)), (1, F(1)), (2, F(1))], "=", F(1)),
@@ -69,7 +62,7 @@ def test_equality_rows():
 
 
 def test_infeasible():
-    result = solve(
+    result = solve_lp(
         1,
         [
             ([(0, F(1))], "<=", F(1)),
@@ -82,20 +75,20 @@ def test_infeasible():
 
 
 def test_unbounded():
-    result = solve(2, [([(0, F(1))], "<=", F(1))], [F(0), F(1)])
+    result = solve_lp(2, [([(0, F(1))], "<=", F(1))], [F(0), F(1)])
     assert result.status == "unbounded"
 
 
 def test_negative_rhs_normalized():
     # -x <= -2 is x >= 2
-    result = solve(1, [([(0, F(-1))], "<=", F(-2))], [F(1)], "min")
+    result = solve_lp(1, [([(0, F(-1))], "<=", F(-2))], [F(1)], "min")
     assert result.status == "optimal"
     assert result.point == (F(2),)
 
 
 def test_degenerate_cycling_guard():
     """Beale's classic cycling example; Bland's rule must terminate."""
-    result = solve(
+    result = solve_lp(
         4,
         [
             ([(0, F(1, 4)), (1, F(-8)), (2, F(-1)), (3, F(9))], "<=", F(0)),
@@ -110,7 +103,7 @@ def test_degenerate_cycling_guard():
 
 def test_redundant_equalities_driven_out():
     # second row repeats the first; phase 1 must not report infeasible
-    result = solve(
+    result = solve_lp(
         2,
         [
             ([(0, F(1)), (1, F(1))], "=", F(1)),
@@ -123,7 +116,7 @@ def test_redundant_equalities_driven_out():
 
 
 def test_zero_objective_feasibility_probe():
-    result = solve(2, [([(0, F(1)), (1, F(1))], "=", F(1))], [F(0), F(0)], "min")
+    result = solve_lp(2, [([(0, F(1)), (1, F(1))], "=", F(1))], [F(0), F(0)], "min")
     assert result.status == "optimal"
     assert result.value == F(0)
 
@@ -145,7 +138,7 @@ def test_matches_vertex_scan():
             if terms:
                 rows.append((terms, "<=", F(rng.randint(2, 6))))
         goal = [F(rng.randint(-3, 3)) for _ in range(n)]
-        result = solve(n, rows, goal)
+        result = solve_lp(n, rows, goal)
         assert result.status == "optimal"
 
         def ok(point):
@@ -181,7 +174,7 @@ def test_negative_cleanup_pivot():
         ("step", False),
         ("cleanup", True),
     ]
-    result = solve(2, rows, [F(-2), F(1)])
+    result = solve_lp(2, rows, [F(-2), F(1)])
     assert result.status == "optimal"
     assert result.point == (F(0), F(1, 2))
     assert result.value == F(1, 2)
@@ -190,7 +183,7 @@ def test_negative_cleanup_pivot():
 def test_pivot_column_zero_in_other_rows():
     # x's column is zero in the y row and the other way round: each pivot
     # only rescales the other row, which must still end at y = 5
-    result = solve(
+    result = solve_lp(
         2, [([(0, F(2))], "<=", F(3)), ([(1, F(3))], "<=", F(15))], [F(1), F(1)]
     )
     assert result.status == "optimal"
@@ -201,7 +194,7 @@ def test_pivot_column_zero_in_other_rows():
 def test_mixed_denominator_rows():
     # x/2 + y/3 <= 1 and x/5 + y <= 7/10 meet at (23/13, 9/26), which
     # beats the other vertices (2, 0) and (0, 7/10)
-    result = solve(
+    result = solve_lp(
         2,
         [
             ([(0, F(1, 2)), (1, F(1, 3))], "<=", F(1)),
@@ -216,8 +209,8 @@ def test_mixed_denominator_rows():
 
 def test_int_and_fraction_coefficients_agree():
     rows = [([(0, 1), (1, 2)], "<=", 4), ([(0, F(3)), (1, 1)], "<=", F(6))]
-    as_ints = solve(2, rows, [1, 1])
-    as_fractions = solve(
+    as_ints = solve_lp(2, rows, [1, 1])
+    as_fractions = solve_lp(
         2,
         [([(j, F(c)) for j, c in terms], rel, F(rhs)) for terms, rel, rhs in rows],
         [F(1), F(1)],
@@ -231,7 +224,7 @@ def test_int_and_fraction_coefficients_agree():
 def test_fractional_objective_value_in_caller_units():
     # the solver works with 6 * (x/3 + y/2); value is in the caller's units
     for sense, point, value in (("max", (F(0), F(1)), F(1, 2)), ("min", (F(1), F(0)), F(1, 3))):
-        result = solve(
+        result = solve_lp(
             2, [([(0, F(1)), (1, F(1))], "=", F(1))], [F(1, 3), F(1, 2)], sense
         )
         assert result.status == "optimal"
@@ -281,35 +274,17 @@ def _steps(log):
     return [(r, c, e > 0) for kind, r, c, e in log if kind != "drop"]
 
 
-def _assert_batch(num_vars, constraints, objectives, sense, pivots):
-    """Assert that one solve_lp call agrees with the Fraction tableau run
-    on each objective alone: the same result for every objective, and
-    the pivots of the shared phase one and clean-up once, followed by
-    each objective's phase-two pivots in order. Return the results and
-    the oracle's logs."""
+def _assert_same(num_vars, constraints, objective, sense, pivots):
+    """Assert that solve_lp and the Fraction tableau agree on the result
+    and on every pivot; return the result and the oracle's log."""
     pivots.clear()
-    got = solve_lp(num_vars, constraints, objectives, sense)
-    assert len(got) == len(objectives)
-    shared = []
-    if len(objectives) > 1:
-        # a zero objective takes no phase-two pivot: its log is the shared prefix
-        fraction_solve_lp(num_vars, constraints, [0] * num_vars, sense, log=shared)
-    expected = _steps(shared)
-    logs = []
-    for objective, result in zip(objectives, got):
-        log = []
-        want = fraction_solve_lp(num_vars, constraints, objective, sense, log=log)
-        args = (num_vars, constraints, objective, sense)
-        assert (result.status, result.point, result.value) == (
-            want.status,
-            want.point,
-            want.value,
-        ), args
-        assert log[: len(shared)] == shared, args
-        expected += _steps(log[len(shared) :])
-        logs.append(log)
-    assert pivots == expected, (num_vars, constraints, objectives, sense)
-    return got, logs
+    log = []
+    got = solve_lp(num_vars, constraints, objective, sense)
+    want = fraction_solve_lp(num_vars, constraints, objective, sense, log=log)
+    args = (num_vars, constraints, objective, sense)
+    assert (got.status, got.point, got.value) == (want.status, want.point, want.value), args
+    assert pivots == _steps(log), args
+    return got, log
 
 
 def test_random_lps_match_fraction_tableau(pivots):
@@ -319,7 +294,7 @@ def test_random_lps_match_fraction_tableau(pivots):
     relations = Counter()
     for _ in range(1500):
         n, rows, goal, sense = _random_lp(rng)
-        [result], [log] = _assert_batch(n, rows, [goal], sense, pivots)
+        result, log = _assert_same(n, rows, goal, sense, pivots)
         statuses[result.status] += 1
         events.update(kind for kind, *_ in log)
         events["negative cleanup"] += sum(
@@ -331,42 +306,21 @@ def test_random_lps_match_fraction_tableau(pivots):
     assert set(relations) == {(rel, neg) for rel in ("<=", ">=", "=") for neg in (False, True)}
 
 
-def test_random_batches_match_fraction_tableau(pivots):
-    # the 1500 LPs of the test above, each with 0-4 objectives of its own
-    rng = random.Random(606)
-    draws = random.Random(608)
-    shapes = Counter()  # (objective count, set of statuses)
-    events = Counter()
-    for _ in range(1500):
-        n, rows, _, sense = _random_lp(rng)
-        objectives = [[_rational(draws) for _ in range(n)] for _ in range(draws.randint(0, 4))]
-        results, logs = _assert_batch(n, rows, objectives, sense, pivots)
-        shapes[len(objectives), frozenset(r.status for r in results)] += 1
-        if len(objectives) > 1:
-            events["negative cleanup"] += any(
-                kind == "cleanup" and element < 0 for kind, _, _, element in logs[0]
-            )
-            events["later phase two pivots"] += len(pivots) > len(_steps(logs[0]))
-    assert shapes[0, frozenset()]
-    assert any(k > 1 and st == {"optimal", "unbounded"} for k, st in shapes)
-    assert any(k > 1 and st == {"infeasible"} for k, st in shapes)
-    assert events["negative cleanup"] and events["later phase two pivots"]
-
-
-def test_batch_edge_cases(pivots):
+def test_edge_cases_match_fraction_tableau(pivots):
     rows = [([(0, F(1)), (1, F(1))], ">=", F(1)), ([(0, F(1))], "<=", F(2))]
-    assert solve_lp(2, rows, []) == []
-    assert pivots == []
     with pytest.raises(ValueError, match="objective length"):
-        solve_lp(2, rows, [[F(1), F(1)], [F(1)]])
+        solve_lp(2, rows, [F(1)])
     assert pivots == []
     # unbounded along y, optimal at x = 2, then optimal on the line x + y = 1
-    results, _ = _assert_batch(2, rows, [[F(0), F(1)], [F(1), F(0)], [F(-1), F(-1)]], "max", pivots)
+    results = [
+        _assert_same(2, rows, objective, "max", pivots)[0]
+        for objective in ([F(0), F(1)], [F(1), F(0)], [F(-1), F(-1)])
+    ]
     assert [r.status for r in results] == ["unbounded", "optimal", "optimal"]
     assert [r.value for r in results[1:]] == [F(2), F(-1)]
     infeasible = rows + [([(0, F(1)), (1, F(1))], "<=", F(1, 2))]
-    results, _ = _assert_batch(2, infeasible, [[F(1), F(0)], [F(0), F(1)]], "min", pivots)
-    assert [r.status for r in results] == ["infeasible", "infeasible"]
+    result, _ = _assert_same(2, infeasible, [F(1), F(0)], "min", pivots)
+    assert result.status == "infeasible"
 
 
 def _recorded_calls(monkeypatch, module, run):
@@ -398,27 +352,22 @@ def test_optimize_lps_match_fraction_tableau(monkeypatch, pivots):
     calls = _recorded_calls(monkeypatch, polytope, run)
     assert len(calls) == 2 * len(instances)
     for args in calls:
-        [result], _ = _assert_batch(*args, pivots)
+        result, _ = _assert_same(*args, pivots)
         assert result.status == "optimal"
 
 
-def test_midpoint_lps_match_fraction_tableau(monkeypatch, pivots, opposed4):
-    latin4 = Instance(
-        4,
-        4,
-        tuple(tuple((i + k) % 4 for k in range(4)) for i in range(4)),
-        tuple(tuple((j + 1 + k) % 4 for k in range(4)) for j in range(4)),
-    )
-
-    def run():
-        for inst in (opposed4, latin4):
-            for m1, m2 in combinations(enumerate_stable(inst), 2):
-                adjacency_verdict(inst, m1, m2)
-
-    calls = _recorded_calls(monkeypatch, adjacency, run)
-    assert len(calls) == 2 * 6  # one call for each of 6 pairs, twice
-    assert [len(objectives) for _, _, objectives, _ in calls] == [2] * 12  # two rivals each
-    values = Counter(
-        result.value for args in calls for result in _assert_batch(*args, pivots)[0]
-    )
+def test_midpoint_lps_match_fraction_tableau(pivots, opposed4):
+    # the rival LPs of the adjacency oracle: every stable pair of opposed4
+    # and of the cyclic Latin 4x4, each pair with two rivals
+    values = Counter()
+    for inst in (opposed4, latin(4)):
+        for p, q in combinations(filter_stable(inst), 2):
+            pool, rows = midpoint_lp(inst, p, q)
+            for k, rival in enumerate(pool):
+                if rival in (p, q):
+                    continue
+                objective = [F(int(i == k)) for i in range(len(pool))]
+                result, _ = _assert_same(len(pool), rows, objective, "max", pivots)
+                values[result.value] += 1
+    assert sum(values.values()) == 24
     assert values[F(0)] and sum(values.values()) > values[F(0)]
