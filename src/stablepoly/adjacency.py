@@ -173,6 +173,14 @@ class AdjacencyVerdict:
 def adjacency_verdict(
     instance: Instance, m1: Matching, m2: Matching, max_edges: int = MAX_STABLE_EDGES
 ) -> AdjacencyVerdict:
+    """Whether stable ``m1`` and ``m2`` span an edge of the matching region.
+
+    Both matchings must be distinct and stable (``ValueError`` otherwise).
+    The exact verdict needs the whole stable lattice, so an instance with
+    more than ``max_edges`` edges raises ``LimitError``. The lattice comes
+    from ``enumerate_stable``, which keeps the one of the most recent
+    instance: checking every pair of one instance walks it once.
+    """
     adjacent, maxima, alternative = _exact_adjacency(instance, m1, m2, max_edges)
     deco = decompose(instance, m1, m2)
     return AdjacencyVerdict(

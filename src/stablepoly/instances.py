@@ -61,6 +61,10 @@ class Instance:
     ``a_prefs[i]`` lists the b-side indices node i ranks, best first;
     ``b_prefs[j]`` the a-side indices node j ranks. Node names are kept
     only for display and serialization and do not affect equality.
+
+    ``a_rank[i]`` maps each b-side index that node i lists to its
+    position in ``a_prefs[i]``, 0 for the favourite; ``b_rank[j]`` does
+    the same for b-side node j. One-sided listings keep their position.
     """
 
     a_count: int
@@ -70,7 +74,8 @@ class Instance:
     a_names: tuple[str, ...] = field(default=(), compare=False)
     b_names: tuple[str, ...] = field(default=(), compare=False)
     edges: frozenset[Edge] = field(init=False, compare=False, repr=False)
-    _rank: dict[NodeId, dict[NodeId, int]] = field(init=False, compare=False, repr=False)
+    a_rank: tuple[dict[int, int], ...] = field(init=False, compare=False, repr=False)
+    b_rank: tuple[dict[int, int], ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.a_prefs) != self.a_count or len(self.b_prefs) != self.b_count:
@@ -87,13 +92,13 @@ class Instance:
             for j in prefs
             if 0 <= j < self.b_count and i in self.b_prefs[j]
         )
-        rank: dict[NodeId, dict[NodeId, int]] = {}
-        for i, prefs in enumerate(self.a_prefs):
-            rank[NodeId(SIDE_A, i)] = {NodeId(SIDE_B, j): r for r, j in enumerate(prefs)}
-        for j, prefs in enumerate(self.b_prefs):
-            rank[NodeId(SIDE_B, j)] = {NodeId(SIDE_A, i): r for r, i in enumerate(prefs)}
         object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "_rank", rank)
+        object.__setattr__(
+            self, "a_rank", tuple({j: r for r, j in enumerate(p)} for p in self.a_prefs)
+        )
+        object.__setattr__(
+            self, "b_rank", tuple({i: r for r, i in enumerate(p)} for p in self.b_prefs)
+        )
 
     # -- basic queries -------------------------------------------------
 
@@ -140,11 +145,22 @@ class Instance:
     # -- preference queries ---------------------------------------------
 
     def rank(self, node: NodeId, other: NodeId) -> int:
-        """Position of ``other`` in ``node``'s list, 0 for the favourite."""
-        try:
-            return self._rank[node][other]
-        except KeyError:
-            raise ValueError(f"{other} is not ranked by {node}") from None
+        """Position of ``other`` in ``node``'s list, 0 for the favourite.
+
+        Raises ``ValueError`` unless the nodes sit on opposite sides, both
+        indices are in range and ``node`` lists ``other``.
+        """
+        if node.side == SIDE_A and other.side == SIDE_B:
+            table, other_count = self.a_rank, self.b_count
+        elif node.side == SIDE_B and other.side == SIDE_A:
+            table, other_count = self.b_rank, self.a_count
+        else:
+            raise ValueError(f"{node} and {other} are not on opposite sides")
+        if 0 <= node.index < len(table) and 0 <= other.index < other_count:
+            position = table[node.index].get(other.index)
+            if position is not None:
+                return position
+        raise ValueError(f"{other} is not ranked by {node}")
 
     def prefers(self, node: NodeId, first: NodeId | None, second: NodeId | None) -> bool:
         """True when ``node`` strictly prefers ``first`` over ``second``.
@@ -165,9 +181,10 @@ class Instance:
         so the edge to ``than`` is never included.
         """
         cutoff = self.rank(at, than)
+        ranks = (self.a_rank if at.side == SIDE_A else self.b_rank)[at.index]
         result = []
         for other in self.neighbors(at):
-            if self._rank[at][other] >= cutoff:
+            if ranks[other.index] >= cutoff:
                 continue
             a, b = (at, other) if at.side == SIDE_A else (other, at)
             result.append(Edge(a.index, b.index))

@@ -12,9 +12,10 @@ produces the two lattice neighbours of the input pair.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .instances import SIDE_A, SIDE_B, Edge, Instance, LimitError, NodeId
+from .instances import SIDE_A, Edge, Instance, LimitError, NodeId
 from .matchings import Matching, blocking_pairs, gale_shapley
 
 
@@ -237,23 +238,29 @@ def enumerate_stable(instance: Instance, max_edges: int = MAX_STABLE_EDGES) -> l
     displaced. Each stable matching is found exactly once, and no
     unstable matching is ever built.
 
-    Refuses instances with more than ``max_edges`` edges (``LimitError``)
-    before doing any work. Cost is no longer the reason, since each
-    output takes O(|E|) proposals; the limit stays because the CLI's
-    ``--max-edges`` default, its exit codes and the tests rely on it.
+    The lattice of the most recent instance is kept, so asking again for
+    an equal instance (names aside) repeats no walk; each call returns a
+    fresh list. Refuses instances with more than ``max_edges`` edges
+    (``LimitError``) on every call, before any work or memo lookup. Cost
+    is no longer the reason, since each output takes O(|E|) proposals;
+    the limit stays because the CLI's ``--max-edges`` default, its exit
+    codes and the tests rely on it.
     """
     if len(instance.edges) > max_edges:
         raise LimitError(
             f"instance has {len(instance.edges)} edges, limit is {max_edges}"
         )
+    return list(_stable_lattice(instance))
+
+
+@lru_cache(maxsize=1)
+def _stable_lattice(instance: Instance) -> tuple[Matching, ...]:
+    """The break-marriage walk of ``enumerate_stable``, sorted by edges."""
     lists = [
         tuple(b.index for b in instance.neighbors(NodeId(SIDE_A, i)))
         for i in range(instance.a_count)
     ]
-    b_rank = [
-        {a.index: r for r, a in enumerate(instance.neighbors(NodeId(SIDE_B, j)))}
-        for j in range(instance.b_count)
-    ]
+    b_rank = instance.b_rank
     start = gale_shapley(instance, SIDE_A)
     pos: list[int | None] = [None] * instance.a_count
     holder: list[int | None] = [None] * instance.b_count
@@ -301,4 +308,4 @@ def enumerate_stable(instance: Instance, max_edges: int = MAX_STABLE_EDGES) -> l
 
     walk(pos, holder, 0)
     found.sort(key=lambda m: m.sorted_edges())
-    return found
+    return tuple(found)

@@ -108,13 +108,17 @@ def is_stable(instance: Instance, matching: Matching, cross_check: bool = False)
 def blocking_pairs(instance: Instance, matching: Matching) -> list[Edge]:
     """Edges whose endpoints would both rather have each other, sorted."""
     _require_subgraph(instance, matching)
+    a_partner = {e.a: e.b for e in matching.edges}
+    b_partner = {e.b: e.a for e in matching.edges}
+    a_rank, b_rank = instance.a_rank, instance.b_rank
     blocking = []
     for edge in sorted(instance.edges):
-        if edge in matching.edges:
+        a, b = edge
+        mine, theirs = a_partner.get(a), b_partner.get(b)
+        if mine == b:
             continue
-        a, b = edge.a_node, edge.b_node
-        if instance.prefers(a, b, matching.partner(a)) and instance.prefers(
-            b, a, matching.partner(b)
+        if (mine is None or a_rank[a][b] < a_rank[a][mine]) and (
+            theirs is None or b_rank[b][a] < b_rank[b][theirs]
         ):
             blocking.append(edge)
     return blocking

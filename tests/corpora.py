@@ -45,6 +45,30 @@ def latin(n):
     return Instance(n, n, a_prefs, b_prefs)
 
 
+def draw(rng, a_count, b_count, p, one_sided):
+    """Random lists over 0..count-1 per side; with probability
+    ``one_sided`` a pair is listed by only one of its endpoints."""
+    a_lists = [[] for _ in range(a_count)]
+    b_lists = [[] for _ in range(b_count)]
+    for i in range(a_count):
+        for j in range(b_count):
+            if rng.random() >= p:
+                continue
+            roll = rng.random()
+            if roll >= one_sided:
+                a_lists[i].append(j)
+                b_lists[j].append(i)
+            elif roll < one_sided / 2:
+                a_lists[i].append(j)
+            else:
+                b_lists[j].append(i)
+    for lst in a_lists + b_lists:
+        rng.shuffle(lst)
+    return Instance(
+        a_count, b_count, tuple(map(tuple, a_lists)), tuple(map(tuple, b_lists))
+    )
+
+
 def golden_instances():
     """Rich lattices: block unions (k = 2 is the opposed4 fixture), cyclic
     Latin squares, and seeded complete 4x4/5x5 draws with at least three

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from stablepoly import cli
+from stablepoly import cli, lattice
 from stablepoly.cli import main
 from stablepoly.instances import instance_to_json
 
@@ -138,6 +138,18 @@ def test_adjacency_all_pairs(capsys, inst4_file):
     # meet/join pair) is uniform: the orientation test is one-way only
     assert sorted(v["uniformly_oriented"] for v in off) == [False, True]
     assert all(v["alternative"] for v in off)
+
+
+def test_adjacency_all_pairs_walks_the_lattice_once(capsys, monkeypatch, inst4_file, opposed2):
+    # every walk starts from deferred acceptance; enumerating another
+    # instance first leaves no lattice of an earlier test behind
+    lattice.enumerate_stable(opposed2)
+    real, walks = lattice.gale_shapley, []
+    monkeypatch.setattr(lattice, "gale_shapley", lambda *a: walks.append(a) or real(*a))
+    code, out, _ = run(capsys, ["adjacency", inst4_file, "--format", "json"])
+    assert code == 0
+    assert len(json.loads(out)) == 6
+    assert len(walks) == 1
 
 
 def test_adjacency_explicit_pair(capsys, tmp_path, inst4_file):

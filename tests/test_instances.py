@@ -77,8 +77,22 @@ def test_rank_and_better_edges(opposed2):
     # strictly better only: the cutoff itself is excluded
     assert opposed2.better_edges(at=a1, than=b2) == frozenset({Edge(0, 0)})
     assert opposed2.better_edges(at=a1, than=b1) == frozenset()
-    with pytest.raises(ValueError):
-        opposed2.rank(a1, NodeId(SIDE_B, 9))
+    # a1 lists b1 one-sidedly and keeps its position; a2 lists index 5
+    lopsided = Instance(2, 2, ((1, 0), (5,)), ((), (0,)))
+    assert lopsided.rank(a1, b1) == 1
+    refused = [
+        (opposed2, a1, NodeId(SIDE_A, 1)),  # same side
+        (opposed2, b2, NodeId(SIDE_B, 0)),
+        (lopsided, b1, a1),  # unranked
+        (opposed2, NodeId(SIDE_A, -1), b1),  # a tuple index of -1 wraps
+        (opposed2, a1, NodeId(SIDE_B, -1)),
+        (opposed2, NodeId(SIDE_A, 2), b1),  # out of range
+        (opposed2, a1, NodeId(SIDE_B, 9)),
+        (lopsided, NodeId(SIDE_A, 1), NodeId(SIDE_B, 5)),  # listed, out of range
+    ]
+    for inst, node, other in refused:
+        with pytest.raises(ValueError):
+            inst.rank(node, other)
 
 
 def test_validate_catches_bad_tables():

@@ -1,38 +1,19 @@
+import gc
 import itertools
+import json
 import random
+import re
+import weakref
 
 import pytest
 
-from stablepoly.instances import Edge, Instance, random_instances
+from stablepoly.adjacency import adjacency_verdict
+from stablepoly.instances import Edge, Instance, LimitError, random_instances
 from stablepoly.lattice import decompose, enumerate_stable, meet_join, swap
 from stablepoly.matchings import Matching, is_stable
 
-from corpora import blocks, complete3, latin
+from corpora import blocks, complete3, draw, latin
 from oracles import filter_stable, is_stable_pairs, stable_sets
-
-
-def draw(rng, a_count, b_count, p, one_sided):
-    """Random lists over 0..count-1 per side; with probability
-    ``one_sided`` a pair is listed by only one of its endpoints."""
-    a_lists = [[] for _ in range(a_count)]
-    b_lists = [[] for _ in range(b_count)]
-    for i in range(a_count):
-        for j in range(b_count):
-            if rng.random() >= p:
-                continue
-            roll = rng.random()
-            if roll >= one_sided:
-                a_lists[i].append(j)
-                b_lists[j].append(i)
-            elif roll < one_sided / 2:
-                a_lists[i].append(j)
-            else:
-                b_lists[j].append(i)
-    for lst in a_lists + b_lists:
-        rng.shuffle(lst)
-    return Instance(
-        a_count, b_count, tuple(map(tuple, a_lists)), tuple(map(tuple, b_lists))
-    )
 
 
 def as_pairs(stable):
@@ -189,6 +170,55 @@ def test_enumerate_stable_bound():
     assert len(wide.edges) == 20
     with pytest.raises(ValueError, match="limit"):
         enumerate_stable(wide)
+
+
+def test_enumerate_stable_memo_follows_the_instance():
+    first, second = blocks(2), latin(4)
+    for inst in (first, second, first):
+        assert as_pairs(enumerate_stable(inst)) == filter_stable(inst)
+
+
+def test_enumerate_stable_memo_hands_out_copies():
+    inst = blocks(2)
+    expected = filter_stable(inst)
+    enumerate_stable(inst).clear()
+    mangled = enumerate_stable(inst)
+    mangled.append(mangled[0])
+    assert as_pairs(enumerate_stable(inst)) == expected
+
+
+def test_enumerate_stable_memo_hit_still_checks_the_limit():
+    inst = latin(4)
+    assert len(enumerate_stable(inst, max_edges=16)) == 4
+    with pytest.raises(LimitError):
+        enumerate_stable(inst, max_edges=15)
+
+
+def test_enumerate_stable_memo_holds_one_instance():
+    # no other test enumerates this instance, so the memo keys on this object
+    first = Instance(1, 7, ((6, 5, 4, 3, 2, 1, 0),), ((0,),) * 7)
+    gone = weakref.ref(first)
+    enumerate_stable(first)
+    enumerate_stable(blocks(2))
+    del first
+    gc.collect()
+    assert gone() is None
+
+
+def test_enumerate_stable_memo_keeps_names_apart():
+    plain = blocks(2)
+    renamed = Instance(
+        4, 4, plain.a_prefs, plain.b_prefs, ("w", "x", "y", "z"), ("p", "q", "r", "s")
+    )
+    assert renamed == plain
+    rename = dict(zip(plain.a_names + plain.b_names, renamed.a_names + renamed.b_names))
+    for m1, m2 in itertools.combinations(enumerate_stable(plain), 2):
+        texts = [
+            json.dumps(adjacency_verdict(inst, m1, m2).to_json(inst))
+            for inst in (plain, renamed)
+        ]
+        assert re.sub(r"\b[ab]\d\b", lambda m: rename[m.group()], texts[0]) == texts[1]
+        assert not re.search(r"\b[ab]\d\b", texts[1])
 
 
 def test_enumerate_stable_matches_oracle():

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -19,6 +20,7 @@ from stablepoly.matchings import (
     matchings_iter,
 )
 
+from corpora import draw
 from oracles import is_stable_pairs, stable_sets
 
 
@@ -94,9 +96,12 @@ def test_blocking_pairs_golden(opposed2, single_edge):
 
 
 def test_stability_routes_agree_everywhere():
-    """The covering test, the blocking-pair scan, and the oracle coincide."""
+    """The covering test, the blocking-pair scan, and the oracle coincide,
+    also on 4x4 draws where one-sided listings shift the rank positions."""
+    rng = random.Random(402)
+    one_sided = (draw(rng, 4, 4, 0.8, 0.3) for _ in range(30))
     stream = random_instances(3, 3, 0.7, seed=401)
-    for inst in itertools.islice(stream, 40):
+    for inst in itertools.chain(itertools.islice(stream, 40), one_sided):
         for m in matchings_iter(inst):
             verdict = is_stable(inst, m, cross_check=True)
             pairs = {(e.a, e.b) for e in m.edges}
