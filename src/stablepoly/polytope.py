@@ -24,6 +24,8 @@ ONE = Fraction(1)
 Point = tuple[Fraction, ...]
 # a point as (integer numerators, positive denominator, tight-row mask)
 _Homogeneous = tuple[tuple[int, ...], int, int]
+# a row as (((column, integer coefficient), ...), integer rhs) of a <= row
+_IntegerRow = tuple[tuple[tuple[int, int], ...], int]
 
 
 @dataclass(frozen=True)
@@ -157,8 +159,10 @@ class ConstraintSystem:
         The halfspaces are inserted one by one while the tight sets are
         tracked (``_points_by_incidence``); each vertex's certificate is
         read off the tight set the insertion ends with. Systems wider than
-        ``max_edges`` columns are refused (``LimitError``), since vertex
-        counts explode with dimension.
+        ``max_edges`` columns are refused (``LimitError``). What grows
+        with dimension is the insertion's intermediate polytopes, not the
+        final vertex count: the cyclic Latin 5x5 system (25 columns) has
+        five vertices and passes through thousands of intermediate ones.
         """
         if len(self.columns) > max_edges:
             raise LimitError(
@@ -250,33 +254,39 @@ def build_system(instance: Instance) -> ConstraintSystem:
     return ConstraintSystem(columns, names, tuple(rows))
 
 
-def _upper_bound(system: ConstraintSystem) -> Fraction:
+def _upper_bound(system: ConstraintSystem, scaled: Sequence[_IntegerRow]) -> Fraction:
     """A value strictly above the coordinate sum anywhere in the region.
 
-    Certified from rows of nonnegative coefficients: such a row caps each
-    of its columns on its own once every variable is nonnegative. A cap
-    below zero leaves the region empty; it counts as zero, so that the
-    bounding simplex keeps a positive size and the insertion still ends
-    with no vertices.
+    Certified from the ``<=`` rows of positive coefficients: such a row
+    caps each of its columns on its own once every variable is
+    nonnegative. The caps are read from the rows' integer forms
+    (``scaled``, from ``_integer_row``), where a ``<=`` row keeps its
+    signs and the ratio ``rhs / a`` is the rational one. A cap below zero
+    leaves the region empty; it counts as zero, so that the bounding
+    simplex keeps a positive size and the insertion still ends with no
+    vertices.
     """
-    width = len(system.columns)
-    best: list[Fraction | None] = [None] * width
-    for row in system.rows:
-        if row.relation != "<=" or any(w <= 0 for w in row.coeffs):
+    # the tightest cap of each column as (numerator, positive denominator)
+    best: list[tuple[int, int] | None] = [None] * len(system.columns)
+    for row, (terms, rhs) in zip(system.rows, scaled):
+        if row.relation != "<=" or any(a <= 0 for _, a in terms):
             continue
-        for c, w in zip(row.cols, row.coeffs):
-            cap = max(row.rhs / w, ZERO)
-            if best[c] is None or cap < best[c]:
-                best[c] = cap
+        top = max(rhs, 0)
+        for c, a in terms:
+            cap = best[c]
+            if cap is None or top * cap[1] < cap[0] * a:
+                best[c] = (top, a)
     if any(cap is None for cap in best):
         raise ValueError(
             "cannot certify the region is bounded; vertex enumeration needs "
             "a nonnegative-coefficient cap row for every column"
         )
-    return sum(best, ZERO) + 1  # type: ignore[arg-type]
+    den = math.lcm(*[a for _, a in best])  # type: ignore[misc]
+    num = sum(top * (den // a) for top, a in best)  # type: ignore[misc]
+    return Fraction(num + den, den)
 
 
-def _integer_row(row: Row) -> tuple[tuple[tuple[int, int], ...], int]:
+def _integer_row(row: Row) -> _IntegerRow:
     """``row`` as ``sum(a * x[c] for c, a in terms) <= rhs`` over the integers.
 
     Multiplying by the lcm of the row's denominators, and by -1 for a
@@ -300,6 +310,17 @@ def _points_by_incidence(system: ConstraintSystem) -> list[tuple[Point, tuple[in
     one is tight on everything they are both tight on. A row that cuts
     nothing off, and every row of a zero-width system, is the same update
     with no vertex outside.
+
+    Rows go in by their largest column index, ties in system order. The
+    columns of ``build_system`` are sorted by (a, b), so the rows enter
+    one a-node at a time, and a column not reached yet is bounded only by
+    its sign row and the bounding facet. That keeps the intermediate
+    polytopes small; taking every degree row first would build the whole
+    bipartite matching polytope before any stability row cut it down.
+    The order cannot change the output: the region, and so its vertex
+    set, does not depend on it, the caller sorts the points, and each
+    tight set is read from a mask that is exact whatever the order (last
+    paragraph).
 
     The arithmetic is on integers. Each row is scaled once to integer
     coefficients and right-hand side (``_integer_row``), and each vertex
@@ -334,7 +355,8 @@ def _points_by_incidence(system: ConstraintSystem) -> list[tuple[Point, tuple[in
         raise ValueError(
             "incidence enumeration needs an explicit sign row per column"
         )
-    bound = _upper_bound(system)
+    scaled = [_integer_row(row) for row in system.rows]
+    bound = _upper_bound(system, scaled)
     synthetic = len(system.rows)  # bit index of the bounding simplex facet
 
     all_signs = 0
@@ -346,11 +368,12 @@ def _points_by_incidence(system: ConstraintSystem) -> list[tuple[Point, tuple[in
         mask = (all_signs & ~(1 << sign_row_of[j])) | (1 << synthetic)
         verts.append((spike, bound.denominator, mask))
 
-    pending = [
-        i for i, row in enumerate(system.rows) if i not in sign_row_of.values()
-    ]
+    pending = sorted(
+        (i for i in range(len(system.rows)) if i not in sign_row_of.values()),
+        key=lambda i: max(system.rows[i].cols, default=-1),
+    )
     for i in pending:
-        terms, rhs = _integer_row(system.rows[i])
+        terms, rhs = scaled[i]
         slacks = [rhs * d - sum(a * n[c] for c, a in terms) for n, d, _ in verts]
         keep: list[_Homogeneous] = []
         inside: list[int] = []

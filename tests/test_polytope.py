@@ -3,6 +3,7 @@ import itertools
 import json
 import random
 import re
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,8 +14,8 @@ from stablepoly.lattice import enumerate_stable
 from stablepoly.matchings import Matching
 from stablepoly.polytope import ConstraintSystem, Row, build_system
 
-from corpora import complete3
-from oracles import basis_points, cover_pairs, rank, slack
+from corpora import complete3, draw, golden_instances
+from oracles import basis_points, cover_pairs, filter_stable, rank, slack
 
 F = Fraction
 ZERO, ONE, HALF = F(0), F(1), F(1, 2)
@@ -271,6 +272,91 @@ def test_vertex_report_bytes_golden():
     assert report_digest(small) == (
         "2c956a10e9d1d5376df6e43fa2c197cc8acc395edf8962f27156c60e06e4b233"
     )
+
+
+def relabelled(system, rng):
+    """``system`` with its columns and its rows shuffled.
+
+    Returns the new system, the new index of each old column and the new
+    index of each old row.
+    """
+    width = len(system.columns)
+    col_to = list(range(width))
+    rng.shuffle(col_to)
+    row_order = list(range(len(system.rows)))
+    rng.shuffle(row_order)
+    row_to = [0] * len(row_order)
+    for new, old in enumerate(row_order):
+        row_to[old] = new
+    columns, names = [None] * width, [None] * width
+    for old, new in enumerate(col_to):
+        columns[new] = system.columns[old]
+        names[new] = system.column_names[old]
+    rows = []
+    for old in row_order:
+        row = system.rows[old]
+        rows.append(
+            Row(tuple(col_to[c] for c in row.cols), row.coeffs, row.relation,
+                row.rhs, row.kind, row.subject)
+        )
+    return ConstraintSystem(tuple(columns), tuple(names), tuple(rows)), col_to, row_to
+
+
+def assert_vertices_follow_relabelling(system, rng):
+    width = len(system.columns)
+    twin, col_to, row_to = relabelled(system, rng)
+    expected = {}
+    for v in system.enumerate_vertices(max_edges=width).vertices:
+        point = [ZERO] * width
+        for old, new in enumerate(col_to):
+            point[new] = v.point[old]
+        expected[tuple(point)] = sorted(row_to[i] for i in v.tight)
+    got = {v.point: list(v.tight) for v in twin.enumerate_vertices(max_edges=width).vertices}
+    assert got == expected
+
+
+def test_vertices_do_not_depend_on_insertion_order():
+    # the insertion takes rows by their last column, so renumbering the
+    # columns changes the order the halfspaces go in; the points and the
+    # tight sets must only follow the renumbering
+    rng = random.Random(5107)
+    golden = 0
+    for _, inst in golden_instances():
+        system = build_system(inst)
+        # the 25- and 36-column members take minutes at any order
+        if len(system.columns) <= 16:
+            assert_vertices_follow_relabelling(system, rng)
+            golden += 1
+    assert golden == 23
+    drawn = 0
+    while drawn < 100:
+        inst = draw(rng, rng.randint(1, 4), rng.randint(1, 4), 0.7, 0.2)
+        system = build_system(inst)
+        if len(system.columns) <= 10:
+            assert_vertices_follow_relabelling(system, rng)
+            drawn += 1
+    for _ in range(40):
+        assert_vertices_follow_relabelling(rational_system(rng, rng.randint(1, 4)), rng)
+
+
+def test_wide_draw_stays_cheap():
+    # a 24-column 5x5 draw: inserting rows in system order (every degree
+    # row, then every stability row) took about 28 s on it, inserting
+    # them by last column takes about 0.1 s
+    inst = list(itertools.islice(random_instances(5, 5, 0.9, seed=3), 5))[-1]
+    system = build_system(inst)
+    assert len(system.columns) == 24
+    start = time.process_time()
+    report = system.enumerate_vertices(max_edges=len(system.columns))
+    elapsed = time.process_time() - start
+    assert report.fractional_vertices() == []
+    stable = {
+        tuple(ONE if tuple(e) in m else ZERO for e in system.columns)
+        for m in map(set, filter_stable(inst))
+    }
+    assert {v.point for v in report.vertices} == stable
+    assert len(stable) == 4
+    assert elapsed < 8, f"{elapsed:.1f} s of CPU"
 
 
 def test_enumerate_vertices_bounds(opposed4):

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -7,7 +8,8 @@ from stablepoly.lattice import MAX_STABLE_EDGES, enumerate_stable
 from stablepoly.polytope import MAX_VERTEX_COLUMNS, build_system
 from stablepoly.verification import verify_instance
 
-from oracles import basis_points
+from corpora import blocks, latin
+from oracles import basis_points, stable_sets
 
 
 def test_verify_opposed(opposed2):
@@ -87,3 +89,29 @@ def test_verify_random_sweep():
         assert len(result.stable) >= (1 if not inst.edges else 1)
         checked += 1
     assert checked >= 25
+
+
+def test_verify_past_the_column_limit():
+    # 16 columns, past the default limit of 10: complete 4x4 draws and
+    # two rich lattices, each vertex set against the brute-force
+    # stable sets
+    rng = random.Random(1604)
+    instances = [
+        Instance(
+            4,
+            4,
+            tuple(tuple(rng.sample(range(4), 4)) for _ in range(4)),
+            tuple(tuple(rng.sample(range(4), 4)) for _ in range(4)),
+        )
+        for _ in range(30)
+    ]
+    instances += [blocks(4), latin(4)]
+    for inst in instances:
+        result = verify_instance(inst, max_edges=16)
+        assert result.ok, inst
+        columns = result.report.columns
+        assert len(columns) == 16
+        expected = {
+            tuple(int(tuple(e) in s) for e in columns) for s in stable_sets(inst)
+        }
+        assert {v.point for v in result.report.vertices} == expected
