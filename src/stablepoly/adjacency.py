@@ -42,7 +42,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .instances import Edge, Instance, remove_edge
-from .lattice import MAX_STABLE_EDGES, decompose, enumerate_stable
+from .lattice import MAX_STABLE_EDGES, decompose, enumerate_stable, split_difference
 from .matchings import Matching
 
 ZERO = Fraction(0)
@@ -179,10 +179,12 @@ def adjacency_verdict(
     The exact verdict needs the whole stable lattice, so an instance with
     more than ``max_edges`` edges raises ``LimitError``. The lattice comes
     from ``enumerate_stable``, which keeps the one of the most recent
-    instance: checking every pair of one instance walks it once.
+    instance: checking every pair of one instance walks it once. Both
+    matchings are found in that lattice before their difference is
+    split, so no blocking pair is looked for again.
     """
     adjacent, maxima, alternative = _exact_adjacency(instance, m1, m2, max_edges)
-    deco = decompose(instance, m1, m2)
+    deco = split_difference(instance, m1, m2)
     return AdjacencyVerdict(
         adjacent=adjacent,
         uniform=not (deco.flip_to_favour_a and deco.flip_to_favour_b),

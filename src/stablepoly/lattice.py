@@ -123,6 +123,14 @@ def decompose(instance: Instance, m1: Matching, m2: Matching) -> Decomposition:
                 f"{label} matching is not stable, blocked by "
                 f"{[instance.edge_name(e) for e in bad]}"
             )
+    return split_difference(instance, m1, m2)
+
+
+def split_difference(instance: Instance, m1: Matching, m2: Matching) -> Decomposition:
+    """The component walk of ``decompose``, for inputs already known to be
+    stable: it checks no blocking pair. A mixed component still raises
+    ``UniformityError``.
+    """
     diff: dict[NodeId, list[tuple[Edge, int]]] = {}
     for source, m in ((1, m1), (2, m2)):
         for edge in m.edges - (m1.edges & m2.edges):

@@ -14,22 +14,34 @@ of a ratio test. Phase one weighs each artificial by 1/scale, so its
 objective is still the sum of the artificials; the objective is scaled
 once by the lcm of its denominators.
 
-The rational tableau is the integer one divided by ``d``, one positive
-common denominator: the last pivot element, 1 before the first pivot.
-A pivot at ``(r, c)`` with element ``p`` replaces every other row
-``a``, and the cost row, by ``(p*a - f*b) // d``, where ``b`` is the
-pivot row and ``f`` is ``a[c]``; then ``d = p``. The division is exact:
-up to sign, ``d`` is the determinant of the current basis matrix B of
-the scaled rows, each row is then a row of adj(B) times the integer
-rows (Cramer's rule), hence integral, and the update is Sylvester's
-identity. Only a clean-up pivot after phase one can have ``p < 0``;
-the whole tableau and ``d`` are then negated, which keeps every
-quotient. Phase two's reduced costs start from ``d * cost`` minus each
-basic row times its variable's cost.
+Each row, and the cost row, has its own positive denominator: the
+rational row is ``row / den``. Bareiss's scheme keeps one common
+denominator ``d``, the last pivot element (1 before the first pivot),
+and holds every row as an integer multiple of ``1/d``. Up to sign ``d``
+is the determinant of the current basis matrix B of the scaled rows,
+each such row is a row of adj(B) times the integer rows (Cramer's rule),
+hence integral, and one pivot is Sylvester's identity. Here a row
+stays as it was when it was last rewritten, at the ``d`` of that time,
+so its common-scheme form ``row * d // den`` is exact. A pivot at
+``(r, c)`` brings the pivot row ``b`` to ``d``, which makes ``b[c]`` the
+pivot element ``p``. A row whose entry ``f`` in column ``c`` is zero is
+not touched. Any other row ``a`` becomes ``(p*a - f*b) // den`` over
+denominator ``p``: that is the common scheme's ``(p*A - F*b) // d`` with
+``A = a*d/den`` and ``F = f*d/den``, the row the common scheme holds
+after the pivot, so the division is exact. When ``den == p`` the update
+is ``a[j] -= f*b[j] // p`` on the nonzero entries of ``b`` only, each
+quotient again exact because the new row is integral. Only a clean-up
+pivot after phase one can have ``p < 0``; negating ``b`` first negates
+exactly the rows the pivot rewrites and keeps every denominator
+positive. Phase two brings every row to ``d`` once, and its reduced
+costs start from ``d * cost`` minus each basic row times its variable's
+cost.
 
-Every choice reads only signs and cross-multiplied ratios, so the
-pivots are the ones the rational tableau takes, and Fractions are
-built only for the returned point, whose value is computed from the
+Bland's entering test reads only the signs of the cost row, and the
+ratio test compares ``rhs / coeff`` within each row; a positive scale of
+one row changes neither. So the pivots are the ones the rational
+tableau takes, and Fractions are built only for the returned point,
+each coordinate ``row[-1] / den``, whose value is computed from the
 caller's unscaled objective.
 """
 
@@ -54,49 +66,57 @@ class LpResult:
     value: Fraction | None
 
 
-def _pivot(
-    tableau: list[list[int]], cost: list[int] | None, row: int, col: int, d: int
-) -> int:
-    """Pivot at ``(row, col)`` over denominator ``d``; the new denominator."""
+def _pivot(tableau: list[list[int]], dens: list[int], row: int, col: int, d: int) -> int:
+    """Pivot at ``(row, col)``; the new common denominator, positive.
+
+    Row ``i`` stands for ``tableau[i] / dens[i]``, and ``d`` is the
+    common denominator of the last pivot. Rows with a zero in ``col``
+    are left as they are, list and denominator.
+    """
     pivot_row = tableau[row]
+    if dens[row] != d:
+        pivot_row = [x * d // dens[row] for x in pivot_row]
     p = pivot_row[col]
+    if p < 0:
+        pivot_row = [-x for x in pivot_row]
+        p = -p
+    support = [(j, b) for j, b in enumerate(pivot_row) if b]
     for r, other in enumerate(tableau):
-        if r == row:
-            continue
         f = other[col]
-        if f:
-            tableau[r] = [(p * a - f * b) // d for a, b in zip(other, pivot_row)]
-        elif p != d:
-            tableau[r] = [p * a // d for a in other]
-    if cost is not None:
-        f = cost[col]
-        if f:
-            cost[:] = [(p * a - f * b) // d for a, b in zip(cost, pivot_row)]
-        elif p != d:
-            cost[:] = [p * a // d for a in cost]
+        if not f or r == row:
+            continue
+        den = dens[r]
+        if den == p:
+            for j, b in support:
+                other[j] -= f * b // p
+        else:
+            tableau[r] = [(p * a - f * b) // den for a, b in zip(other, pivot_row)]
+            dens[r] = p
+    tableau[row] = pivot_row
+    dens[row] = p
     return p
 
 
 def _iterate(
-    tableau: list[list[int]],
-    basis: list[int],
-    cost: list[int],
-    usable: int,
-    d: int,
+    tableau: list[list[int]], dens: list[int], basis: list[int], usable: int, d: int
 ) -> tuple[str, int]:
     """Run simplex steps until optimal or unbounded; the status and new ``d``.
 
-    ``cost`` holds reduced costs over the first ``usable`` columns, times
-    ``d`` and a positive constant; the sense is minimization. ``d`` must
-    be positive, so every sign read here is the rational one.
+    The last row of ``tableau`` is the cost row: reduced costs over the
+    first ``usable`` columns, times a positive constant; the sense is
+    minimization. Every denominator is positive, so every sign read here
+    is the rational one.
     """
+    m = len(basis)
     while True:
+        cost = tableau[-1]
         enter = next((j for j in range(usable) if cost[j] < 0), None)
         if enter is None:
             return "optimal", d
         best_row = -1
         best_rhs = best_coeff = 0
-        for i, row in enumerate(tableau):
+        for i in range(m):
+            row = tableau[i]
             coeff = row[enter]
             if coeff > 0:
                 if best_row >= 0:
@@ -107,7 +127,7 @@ def _iterate(
                 best_row, best_rhs, best_coeff = i, row[-1], coeff
         if best_row < 0:
             return "unbounded", d
-        d = _pivot(tableau, cost, best_row, enter, d)
+        d = _pivot(tableau, dens, best_row, enter, d)
         basis[best_row] = enter
 
 
@@ -178,26 +198,34 @@ def solve_lp(
             next_art += 1
         tableau.append(row)
 
+    # Row i stands for tableau[i] / dens[i]; the cost row is appended
+    # last while a phase runs, with its own entry in dens and a last
+    # (objective value) entry like every row, so it has the full width.
+    dens = [1] * m
     d = 1
     if art_count:
         # Phase one minimizes the sum of the artificials. Row i's artificial
         # is counted in units of 1/scales[i], so it costs lcm/scales[i].
         lcm = math.lcm(*[scales[i] for i in range(m) if basis[i] >= art_start])
-        phase1 = [0] * width
+        phase1 = [0] * (width + 1)
         for i in range(m):
             if basis[i] >= art_start:
                 weight = lcm // scales[i]
                 phase1[basis[i]] = weight
-                phase1 = [a - weight * b for a, b in zip(phase1, tableau[i][:-1])]
-        status, d = _iterate(tableau, basis, phase1, width, d)
+                phase1 = [a - weight * b for a, b in zip(phase1, tableau[i])]
+        tableau.append(phase1)
+        dens.append(1)
+        status, d = _iterate(tableau, dens, basis, width, d)
         if status != "optimal":
             raise AssertionError("phase one cannot be unbounded")
+        tableau.pop()
+        dens.pop()
         if any(tableau[i][-1] != 0 for i in range(m) if basis[i] >= art_start):
             return LpResult("infeasible", None, None)
-        # Pivot leftover artificials out on any real column; a row with no
-        # real coefficients left is a redundant constraint and gets dropped.
-        # Such a pivot element may be negative: negating the whole tableau
-        # with d keeps every quotient and makes d positive again.
+        # Pivot leftover artificials out on any real column (the element
+        # may be negative; _pivot keeps the denominators positive); a row
+        # with no real coefficients left is a redundant constraint and
+        # gets dropped.
         drop: list[int] = []
         for i in range(m):
             if basis[i] < art_start:
@@ -206,29 +234,32 @@ def solve_lp(
             if col is None:
                 drop.append(i)
             else:
-                d = _pivot(tableau, None, i, col, d)
+                d = _pivot(tableau, dens, i, col, d)
                 basis[i] = col
-                if d < 0:
-                    d = -d
-                    tableau = [[-x for x in row] for row in tableau]
         for i in reversed(drop):
             del tableau[i]
             del basis[i]
+            del dens[i]
 
-    tableau = [row[:art_start] + [row[-1]] for row in tableau]
+    # Phase two starts with every row at the common denominator d.
+    tableau = [
+        [x * d // den for x in row[:art_start] + row[-1:]] for row, den in zip(tableau, dens)
+    ]
     full_cost = cost_vec + [0] * slack_count
-    reduced = [d * c for c in full_cost]
+    reduced = [d * c for c in full_cost] + [0]
     for i, row in enumerate(tableau):
         weight = full_cost[basis[i]]
         if weight:
-            reduced = [a - weight * b for a, b in zip(reduced, row[:-1])]
-    status, d = _iterate(tableau, basis, reduced, art_start, d)
+            reduced = [a - weight * b for a, b in zip(reduced, row)]
+    tableau.append(reduced)
+    dens = [d] * len(tableau)
+    status, d = _iterate(tableau, dens, basis, art_start, d)
     if status == "unbounded":
         return LpResult("unbounded", None, None)
 
     point = [ZERO] * num_vars
-    for i, row in enumerate(tableau):
-        if basis[i] < num_vars:
-            point[basis[i]] = Fraction(row[-1], d)
+    for i, b in enumerate(basis):
+        if b < num_vars:
+            point[b] = Fraction(tableau[i][-1], dens[i])
     value = sum((goal[j] * point[j] for j in range(num_vars)), ZERO)
     return LpResult("optimal", tuple(point), value)

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from stablepoly import lattice
 from stablepoly.adjacency import (
     AdjacencyVerdict,
     Witness,
@@ -149,6 +150,20 @@ def test_are_adjacent(opposed2, opposed4):
     unstable = Matching.from_edges([Edge(0, 0)])
     with pytest.raises(ValueError, match="stable"):
         adjacency_verdict(opposed2, m1, unstable)
+
+
+def test_verdict_scans_no_blocking_pair(monkeypatch, opposed4):
+    # the pair is found in the stable lattice first, so splitting its
+    # difference does not check stability a second time
+    stable = enumerate_stable(opposed4)
+    scans = []
+    real = lattice.blocking_pairs
+    monkeypatch.setattr(lattice, "blocking_pairs", lambda *a: scans.append(a) or real(*a))
+    verdicts = [adjacency_verdict(opposed4, p, q) for p, q in itertools.combinations(stable, 2)]
+    assert len(verdicts) == 6 and not all(v.uniform for v in verdicts)
+    assert scans == []
+    with pytest.raises(ValueError, match="stable"):
+        adjacency_verdict(opposed4, stable[0], Matching.from_edges([Edge(0, 0)]))
 
 
 def test_adjacent_pairs_on_lattice_neighbours(opposed4):

@@ -11,6 +11,7 @@ from stablepoly.polytope import build_system
 from stablepoly.simplex import solve_lp
 
 from corpora import latin
+from oracles import _fraction_pivot as oracle_pivot
 from oracles import filter_stable, fraction_solve_lp, midpoint_lp
 
 F = Fraction
@@ -180,9 +181,42 @@ def test_negative_cleanup_pivot():
     assert result.value == F(1, 2)
 
 
+def test_pivot_leaves_rows_with_zero_in_pivot_column():
+    # random integer tableaus (every nonzero pivot sequence keeps the
+    # fraction-free divisions exact), each pivot checked against the
+    # Fraction one; a row with 0 in the pivot column keeps its list object
+    # and its denominator, so no pivot rescales a row it does not change
+    rng = random.Random(1314)
+    seen = Counter()
+    for _ in range(40):
+        tableau = [[rng.choice((0, 0, rng.randint(-5, 5))) for _ in range(6)] for _ in range(4)]
+        dens = [1] * len(tableau)
+        d = 1
+        for _ in range(6):
+            row, col = rng.randrange(4), rng.randrange(6)
+            if tableau[row][col] == 0:
+                continue
+            rational = [[F(x, den) for x in r] for r, den in zip(tableau, dens)]
+            oracle_pivot(rational, [F(0)] * 6, row, col)
+            kept = {
+                r: (tableau[r], dens[r])
+                for r in range(len(tableau))
+                if r != row and tableau[r][col] == 0
+            }
+            seen["negative"] += tableau[row][col] * dens[row] < 0
+            d = simplex._pivot(tableau, dens, row, col, d)
+            assert d > 0 and all(den > 0 for den in dens)
+            assert [[F(x, den) for x in r] for r, den in zip(tableau, dens)] == rational
+            for r, (kept_row, kept_den) in kept.items():
+                assert tableau[r] is kept_row and dens[r] == kept_den
+            seen["kept"] += len(kept)
+    assert seen["kept"] and seen["negative"]
+
+
 def test_pivot_column_zero_in_other_rows():
     # x's column is zero in the y row and the other way round: each pivot
-    # only rescales the other row, which must still end at y = 5
+    # leaves the other row as it is, over its own denominator, and the y
+    # row must still end at y = 5
     result = solve_lp(
         2, [([(0, F(2))], "<=", F(3)), ([(1, F(3))], "<=", F(15))], [F(1), F(1)]
     )
@@ -255,16 +289,33 @@ def _random_lp(rng):
     return n, rows, [_rational(rng) for _ in range(n)], rng.choice(("max", "min"))
 
 
+class _PivotLog(list):
+    """Pivots as (row, column, element > 0). ``branches`` counts, over
+    every solve since the fixture was made, the pivots that met each
+    per-row-denominator path."""
+
+    def __init__(self):
+        super().__init__()
+        self.branches = Counter()
+
+
 @pytest.fixture
 def pivots(monkeypatch):
     """Every pivot solve_lp takes, as (row, column, element > 0)."""
-    taken = []
+    taken = _PivotLog()
     real = simplex._pivot
 
-    def record(tableau, cost, row, col, d):
+    def record(tableau, dens, row, col, d):
         assert d > 0
+        # every row's denominator, the cost row's (last while a phase runs) too
+        assert len(dens) == len(tableau) and all(den > 0 for den in dens)
         taken.append((row, col, tableau[row][col] > 0))
-        return real(tableau, cost, row, col, d)
+        if dens[row] != d:
+            taken.branches["stale pivot row"] += 1
+        p = abs(tableau[row][col] * d // dens[row])
+        if any(r != row and a[col] and dens[r] != p for r, a in enumerate(tableau)):
+            taken.branches["elimination with p != den"] += 1
+        return real(tableau, dens, row, col, d)
 
     monkeypatch.setattr(simplex, "_pivot", record)
     return taken
@@ -354,6 +405,29 @@ def test_optimize_lps_match_fraction_tableau(monkeypatch, pivots):
     for args in calls:
         result, _ = _assert_same(*args, pivots)
         assert result.status == "optimal"
+
+
+def test_complete_5x5_optimize_lps_match_fraction_tableau(monkeypatch, pivots):
+    # 25 columns, both senses; the runs must reach both per-row paths: a
+    # pivot row stored at an older denominator, and an elimination whose
+    # row is over a denominator other than the pivot element
+    rng = random.Random(1313)
+    instances = [random_instance(5, 5, 1.0, rng) for _ in range(2)]
+
+    def run():
+        for inst in instances:
+            system = build_system(inst)
+            assert len(system.columns) == 25
+            for sense in ("max", "min"):
+                weights = [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in system.columns]
+                system.optimize(weights, sense)
+
+    calls = _recorded_calls(monkeypatch, polytope, run)
+    assert [args[3] for args in calls] == ["max", "min"] * len(instances)
+    for args in calls:
+        result, _ = _assert_same(*args, pivots)
+        assert result.status == "optimal"
+    assert pivots.branches["stale pivot row"] and pivots.branches["elimination with p != den"]
 
 
 def test_midpoint_lps_match_fraction_tableau(pivots, opposed4):
