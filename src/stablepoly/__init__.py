@@ -1,11 +1,6 @@
 """Exact tools for stable matchings and the geometry of their relaxation."""
 
-from .adjacency import (
-    AdjacencyVerdict,
-    Witness,
-    adjacency_verdict,
-    removed_edge_witness,
-)
+from .adjacency import AdjacencyVerdict, adjacency_verdict
 from .instances import (
     Edge,
     Instance,
@@ -21,7 +16,6 @@ from .instances import (
     parse_weights,
     random_instance,
     random_instances,
-    remove_edge,
     validate,
 )
 from .lattice import (
@@ -69,7 +63,7 @@ __all__ = [
     "VerificationResult",
     "Vertex",
     "VertexReport",
-    "Witness",
+    "__version__",
     "adjacency_verdict",
     "blocking_pairs",
     "build_system",
@@ -86,11 +80,8 @@ __all__ = [
     "parse_weights",
     "random_instance",
     "random_instances",
-    "remove_edge",
-    "removed_edge_witness",
     "solve_lp",
     "swap",
     "validate",
     "verify_instance",
-    "__version__",
 ]

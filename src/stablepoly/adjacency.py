@@ -27,83 +27,19 @@ when every rival scores 0.
 
 The exact route never consults the orientation, so the implication is
 checked against it instead of being true by construction.
-
-A dominance certificate (an edge that one matching beats at both
-endpoints while the other beats it at neither) never exists inside the
-graph for two stable matchings; it becomes productive once the edge is
-deleted and only its preference ranks remain, which removed_edge_witness
-reads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
 
-from .instances import Edge, Instance, remove_edge
-from .lattice import MAX_STABLE_EDGES, decompose, enumerate_stable, split_difference
+from .instances import Instance
+from .lattice import MAX_STABLE_EDGES, enumerate_stable, split_difference
 from .matchings import Matching
 
 ZERO = Fraction(0)
 HALF = Fraction(1, 2)
-
-
-class Witness(NamedTuple):
-    """A deleted graph edge certifying non-adjacency (removed_edge_witness).
-
-    ``dominant`` names the matching (1 or 2) that strictly out-ranks the
-    edge at both of its endpoints; the other matching out-ranks it at
-    neither endpoint.
-    """
-
-    edge: Edge
-    dominant: int
-
-
-def _dominated_by(host: Instance, edge: Edge, m1: Matching, m2: Matching) -> int | None:
-    """Which matching out-ranks ``edge`` at both endpoints while the other
-    out-ranks it at neither, judged by ``host``'s preference lists.
-
-    Returns 1, 2, or None. The strict cutoffs mean the pivot edge never
-    counts as beating itself.
-    """
-    at_a = host.better_edges(at=edge.a_node, than=edge.b_node)
-    at_b = host.better_edges(at=edge.b_node, than=edge.a_node)
-    for dominant, strong, weak in ((1, m1, m2), (2, m2, m1)):
-        if (
-            strong.edges & at_a
-            and strong.edges & at_b
-            and not (weak.edges & (at_a | at_b))
-        ):
-            return dominant
-    return None
-
-
-def removed_edge_witness(
-    host: Instance, edge: Edge, m1: Matching, m2: Matching
-) -> Witness | None:
-    """Certify non-adjacency in ``host`` minus ``edge`` using host ranks.
-
-    The deleted edge keeps its position in both endpoints' preference
-    lists even though neither matching may use it, and that leftover rank
-    information can separate the pair: if one matching beats the deleted
-    edge at both endpoints while the other beats it at neither, the two
-    endpoints lie in distinct difference components leaning opposite
-    ways, so the matchings are not adjacent in the reduced instance.
-
-    Both matchings must be stable in ``host`` minus ``edge`` (checked);
-    stability in ``host`` itself is not required and typically fails for
-    one of them.
-    """
-    if edge not in host.edges:
-        raise ValueError(f"{host.edge_name(edge)} is not an edge")
-    reduced = remove_edge(host, edge)
-    decompose(reduced, m1, m2)
-    dominant = _dominated_by(host, edge, m1, m2)
-    if dominant is None:
-        return None
-    return Witness(edge, dominant)
 
 
 def _exact_adjacency(

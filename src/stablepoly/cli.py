@@ -3,8 +3,8 @@
 Exit codes: 0 when the requested work succeeded and every checked
 property held, 1 when a checked property failed (an unstable matching,
 a fractional vertex, a vertex/stable mismatch), 2 for unusable input.
-A ``verify`` sweep that skipped an over-limit instance and found no
-mismatch exits 2 as well.
+A ``verify`` sweep that skipped an over-limit instance or an instance
+file that fails to load, and found no mismatch, exits 2 as well.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
@@ -62,7 +63,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     instance = load_instance(args.instance)
     side = SIDE_A if args.side == "a" else SIDE_B
     matching = gale_shapley(instance, proposing_side=side)
-    stable = is_stable(instance, matching, cross_check=True)
+    stable = is_stable(instance, matching)
     _emit(
         {"matching": matching.to_pairs(instance), "stable": stable},
         args.format,
@@ -86,7 +87,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 def _cmd_check(args: argparse.Namespace) -> int:
     instance = load_instance(args.instance)
     matching = _load_matching(instance, args.matching)
-    stable = is_stable(instance, matching, cross_check=True)
+    stable = is_stable(instance, matching)
     blocking = [instance.edge_name(e) for e in blocking_pairs(instance, matching)]
     table = "stable" if stable else "unstable, blocked by: " + ", ".join(blocking)
     _emit({"stable": stable, "blocking": blocking}, args.format, table)
@@ -172,9 +173,16 @@ def _cmd_adjacency(args: argparse.Namespace) -> int:
     return 0
 
 
-def _verify_task(payload: tuple[Instance, int]) -> tuple[str, dict | None]:
-    """Tag one outcome "ok", "disagree" or "skipped" (over a size limit)."""
+def _verify_task(payload: tuple[Instance | str, int]) -> tuple[str, dict | None]:
+    """Tag one outcome "ok", "disagree" or "skipped" (over a size limit, or
+    an instance file that fails to load, whose skip record names the path
+    in place of the instance)."""
     instance, max_edges = payload
+    if isinstance(instance, str):
+        try:
+            instance = load_instance(instance)
+        except (ValueError, OSError) as exc:
+            return "skipped", {"instance": instance, "reason": str(exc)}
     try:
         result = verify_instance(instance, max_edges=max_edges)
     except LimitError as exc:
@@ -198,15 +206,16 @@ def _tally(outcomes: Iterable[tuple[str, dict | None]]) -> tuple[int, list[dict]
     return checked, failures, skipped
 
 
-def _instance_stream(args: argparse.Namespace) -> Iterator[Instance]:
-    """The instances of the one source given (see ``_add_sources``)."""
+def _instance_stream(args: argparse.Namespace) -> Iterator[Instance | str]:
+    """The instances of the one source given (see ``_add_sources``); files
+    come as their paths, which ``_verify_task`` loads one at a time."""
     files = getattr(args, "instances", None)
     sources = (("instance files", files or None), ("--complete", args.complete), ("--random", args.random))
     given = [name for name, value in sources if value is not None]
     if len(given) > 1:
         raise InstanceError(f"instance sources are mutually exclusive, got {' and '.join(given)}")
     if files:
-        return (load_instance(path) for path in files)
+        return iter(files)
     if args.complete is not None:
         return exhaustive_complete(args.complete)
     if args.random is not None:
@@ -226,7 +235,7 @@ WINDOW_CHUNKS = 8
 
 
 def _pooled(
-    pool: ProcessPoolExecutor, payloads: Iterator[tuple[Instance, int]], workers: int
+    pool: ProcessPoolExecutor, payloads: Iterator[tuple[Instance | str, int]], workers: int
 ) -> Iterator[tuple[str, dict | None]]:
     """``_verify_task`` over ``payloads`` on ``pool``, in order, one window
     at a time: ``pool.map`` submits all of its input before it yields, so
@@ -239,14 +248,16 @@ def _pooled(
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.workers < 1:
         raise InstanceError("worker count must be at least 1")
+    # the pool starts all of its processes at once: no more than the CPUs
+    workers = min(args.workers, os.cpu_count() or 1)
     payloads = ((inst, args.max_edges) for inst in _instance_stream(args))
-    if args.workers == 1:
+    if workers == 1:
         checked, failures, skipped = _tally(map(_verify_task, payloads))
     else:
         # the results are consumed inside the block, so the pool is shut
         # down on every exit path, a raising worker included
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            checked, failures, skipped = _tally(_pooled(pool, payloads, args.workers))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            checked, failures, skipped = _tally(_pooled(pool, payloads, workers))
     if args.quarantine:
         Path(args.quarantine).write_text(
             json.dumps(failures, sort_keys=True, indent=2) + "\n", encoding="utf-8"
@@ -264,8 +275,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         if not failures
         else f"checked {checked} instances: {len(failures)} DISAGREE"
     )
-    if skipped:
-        table += f"; skipped {len(skipped)} over a size limit"
+    unreadable = sum(isinstance(record["instance"], str) for record in skipped)
+    if len(skipped) > unreadable:
+        table += f"; skipped {len(skipped) - unreadable} over a size limit"
+    if unreadable:
+        table += f"; skipped {unreadable} unreadable instance files"
     _emit(summary, args.format, table)
     return 1 if failures else 2 if skipped else 0
 

@@ -247,30 +247,6 @@ def validate(instance: Instance) -> list[str]:
     return problems
 
 
-def remove_edge(instance: Instance, edge: Edge) -> Instance:
-    """Return a copy of ``instance`` without ``edge``.
-
-    Both endpoints drop the far node from their lists; relative order of
-    the remaining neighbours is untouched.  Names carry over so matchings
-    written against the original still parse against the reduced instance
-    (as long as they avoid the removed edge).
-    """
-    if edge not in instance.edges:
-        raise ValueError(f"{instance.edge_name(edge)} is not an edge")
-    a_prefs = list(instance.a_prefs)
-    b_prefs = list(instance.b_prefs)
-    a_prefs[edge.a] = tuple(j for j in a_prefs[edge.a] if j != edge.b)
-    b_prefs[edge.b] = tuple(i for i in b_prefs[edge.b] if i != edge.a)
-    return Instance(
-        instance.a_count,
-        instance.b_count,
-        tuple(a_prefs),
-        tuple(b_prefs),
-        instance.a_names,
-        instance.b_names,
-    )
-
-
 # -- generation ----------------------------------------------------------
 
 

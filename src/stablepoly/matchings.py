@@ -80,7 +80,7 @@ def _require_subgraph(instance: Instance, matching: Matching) -> None:
         raise ValueError(f"matching uses non-edges: {sorted(stray)}")
 
 
-def is_stable(instance: Instance, matching: Matching, cross_check: bool = False) -> bool:
+def is_stable(instance: Instance, matching: Matching) -> bool:
     """Stability as a covering condition, checked edge by edge.
 
     An edge ab is dominated when the matching meets its cover set
@@ -88,20 +88,20 @@ def is_stable(instance: Instance, matching: Matching, cross_check: bool = False)
     b, and the edges at b that b prefers to a. The matching is stable when
     every edge is dominated.
 
-    ``cross_check`` also runs the blocking-pair scan, which shares nothing
-    with this routine beyond the instance model, and insists they agree.
+    The blocking-pair scan, which shares nothing with this routine beyond
+    the instance model, always runs too; a disagreement between the two
+    raises ``RuntimeError``.
     """
     _require_subgraph(instance, matching)
     stable = not any(
         matching.edges.isdisjoint(cover) for cover in instance.cover_sets.values()
     )
-    if cross_check:
-        verdict = not blocking_pairs(instance, matching)
-        if verdict != stable:
-            raise RuntimeError(
-                f"stability routines disagree on {sorted(matching.edges)}: "
-                f"covering says {stable}, blocking scan says {verdict}"
-            )
+    verdict = not blocking_pairs(instance, matching)
+    if verdict != stable:
+        raise RuntimeError(
+            f"stability routines disagree on {sorted(matching.edges)}: "
+            f"covering says {stable}, blocking scan says {verdict}"
+        )
     return stable
 
 

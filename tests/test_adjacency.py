@@ -6,13 +6,8 @@ from fractions import Fraction
 import pytest
 
 from stablepoly import lattice
-from stablepoly.adjacency import (
-    AdjacencyVerdict,
-    Witness,
-    adjacency_verdict,
-    removed_edge_witness,
-)
-from stablepoly.instances import Edge, instance_from_json, random_instances, remove_edge
+from stablepoly.adjacency import AdjacencyVerdict, adjacency_verdict
+from stablepoly.instances import Edge, instance_from_json, random_instances
 from stablepoly.lattice import enumerate_stable
 from stablepoly.matchings import Matching
 
@@ -50,58 +45,35 @@ def test_witness_scan_is_empty_for_stable_pairs(opposed4):
             assert dominance_witness(inst, p.edges, q.edges) is None
 
 
-def test_removed_edge_witness_fixture(witness_fixture):
-    host = instance_from_json(witness_fixture["host"])
+def fixture_pair(doc):
+    host = instance_from_json(doc["host"])
+    m1 = Matching.from_pairs(host, [p.split() for p in doc["m1"]])
+    m2 = Matching.from_pairs(host, [p.split() for p in doc["m2"]])
+    return host, m1, m2
+
+
+def test_dominance_witness_derived_fixture(witness_fixture):
+    """On the host's ranks the oracle scan finds the deleted edge, with
+    the recorded dominant side; criterion 6 checks the reduced instance."""
+    host, m1, m2 = fixture_pair(witness_fixture)
     a_name, b_name = witness_fixture["removed_edge"].split()
-    edge = Edge(host.node_by_name(a_name).index, host.node_by_name(b_name).index)
-    reduced = remove_edge(host, edge)
-    m1 = Matching.from_pairs(reduced, [p.split() for p in witness_fixture["m1"]])
-    m2 = Matching.from_pairs(reduced, [p.split() for p in witness_fixture["m2"]])
-
-    got = removed_edge_witness(host, edge, m1, m2)
-    assert got == Witness(edge, witness_fixture["dominant"])
-    # the certificate is sound: the pair is indeed not adjacent
-    assert not adjacency_verdict(reduced, m1, m2).adjacent
-    # and the host ranks are essential: inside the reduced instance the
-    # same scan finds nothing
-    assert dominance_witness(reduced, m1.edges, m2.edges) is None
+    edge = (host.node_by_name(a_name).index, host.node_by_name(b_name).index)
+    assert dominance_witness(host, m1.edges, m2.edges) == (edge, witness_fixture["dominant"])
 
 
-def test_removed_edge_witness_role_swap(witness_fixture):
-    host = instance_from_json(witness_fixture["host"])
-    edge = Edge(1, 2)
-    reduced = remove_edge(host, edge)
-    m1 = Matching.from_pairs(reduced, [p.split() for p in witness_fixture["m1"]])
-    m2 = Matching.from_pairs(reduced, [p.split() for p in witness_fixture["m2"]])
-    assert removed_edge_witness(host, edge, m2, m1) == Witness(edge, 2)
+def test_dominance_witness_role_swap(witness_fixture):
+    host, m1, m2 = fixture_pair(witness_fixture)
+    assert dominance_witness(host, m2.edges, m1.edges) == ((1, 2), 2)
 
 
-def test_removed_edge_witness_misses(opposed4, witness_fixture):
-    host = instance_from_json(witness_fixture["host"])
-    edge = Edge(1, 2)
-    reduced = remove_edge(host, edge)
-    m1 = Matching.from_pairs(reduced, [p.split() for p in witness_fixture["m1"]])
-    m2 = Matching.from_pairs(reduced, [p.split() for p in witness_fixture["m2"]])
-    # removing some other edge gives no certificate for this pair: both
-    # matchings still use edges the scan would need them to avoid
+def test_dominance_witness_misses(witness_fixture):
+    host, m1, m2 = fixture_pair(witness_fixture)
+    # against other matchings the pair leaves no certificate: each side
+    # uses edges the scan would need it to avoid
     join = Matching.from_edges([Edge(0, 0), Edge(1, 1), Edge(2, 2), Edge(3, 3)])
     meet = Matching.from_edges([Edge(0, 1), Edge(1, 0), Edge(2, 3), Edge(3, 2)])
-    assert removed_edge_witness(host, edge, m1, join) is None
-    assert removed_edge_witness(host, edge, meet, m2) is None
-
-
-def test_removed_edge_witness_validates(opposed4, witness_fixture):
-    host = instance_from_json(witness_fixture["host"])
-    edge = Edge(1, 2)
-    reduced = remove_edge(host, edge)
-    m1 = Matching.from_pairs(reduced, [p.split() for p in witness_fixture["m1"]])
-    m2 = Matching.from_pairs(reduced, [p.split() for p in witness_fixture["m2"]])
-    with pytest.raises(ValueError, match="not an edge"):
-        removed_edge_witness(host, Edge(0, 2), m1, m2)
-    # a matching that still uses the removed edge cannot be judged
-    uses_it = Matching.from_edges([Edge(1, 2), Edge(0, 0), Edge(2, 3)])
-    with pytest.raises(ValueError):
-        removed_edge_witness(host, edge, uses_it, m2)
+    assert dominance_witness(host, m1.edges, join.edges) is None
+    assert dominance_witness(host, meet.edges, m2.edges) is None
 
 
 def test_convex_decompose_midpoint(opposed2):

@@ -1,0 +1,61 @@
+import importlib
+
+import stablepoly
+
+PUBLIC = [
+    "AdjacencyVerdict",
+    "Component",
+    "ConstraintSystem",
+    "Decomposition",
+    "Edge",
+    "Instance",
+    "InstanceError",
+    "LimitError",
+    "LpResult",
+    "Matching",
+    "NodeId",
+    "Point",
+    "Row",
+    "SIDE_A",
+    "SIDE_B",
+    "SwapStabilityError",
+    "UniformityError",
+    "VerificationResult",
+    "Vertex",
+    "VertexReport",
+    "__version__",
+    "adjacency_verdict",
+    "blocking_pairs",
+    "build_system",
+    "decompose",
+    "enumerate_stable",
+    "exhaustive_complete",
+    "gale_shapley",
+    "instance_from_json",
+    "instance_to_json",
+    "is_stable",
+    "load_instance",
+    "matchings_iter",
+    "meet_join",
+    "parse_weights",
+    "random_instance",
+    "random_instances",
+    "solve_lp",
+    "swap",
+    "validate",
+    "verify_instance",
+]
+
+
+def test_public_names_are_pinned():
+    assert PUBLIC == sorted(PUBLIC)
+    assert stablepoly.__all__ == PUBLIC
+    for name in PUBLIC:
+        assert hasattr(stablepoly, name), name
+
+
+def test_removed_names_stay_removed():
+    for module in ("stablepoly", "stablepoly.adjacency", "stablepoly.instances"):
+        mod = importlib.import_module(module)
+        for name in ("Witness", "removed_edge_witness", "remove_edge"):
+            assert not hasattr(mod, name), f"{module}.{name}"

@@ -228,6 +228,8 @@ def test_verify_pool_shut_down_when_a_worker_raises(capsys, monkeypatch):
             super().shutdown(*args, **kwargs)
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    # two workers even on one CPU, so the pool runs
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
     # an error other than an over-limit instance still ends the sweep
     monkeypatch.setattr(cli, "verify_instance", _broken_verify)
     argv = ["verify", "--random", "2", "--a", "4", "--b", "4", "--p", "1", "--workers", "2"]
@@ -236,9 +238,10 @@ def test_verify_pool_shut_down_when_a_worker_raises(capsys, monkeypatch):
     assert shutdowns
 
 
-def test_verify_pool_reads_one_window_ahead(capsys, monkeypatch):
-    # the pool is fed the stream a window at a time, so the parent never
-    # holds more than one window of instances beyond what it has tallied
+def watch_read_ahead(monkeypatch):
+    """Patch the sweep so that each tallied outcome records how many
+    instances had been drawn from the stream by then, less its own
+    position: the read-ahead. Returns the list of read-aheads."""
     drawn = 0
     leads = []
     stream, tally = cli._instance_stream, cli._tally
@@ -259,6 +262,14 @@ def test_verify_pool_reads_one_window_ahead(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "_instance_stream", counting_stream)
     monkeypatch.setattr(cli, "_tally", watching_tally)
+    return leads
+
+
+def test_verify_pool_reads_one_window_ahead(capsys, monkeypatch):
+    # the pool is fed the stream a window at a time, so the parent never
+    # holds more than one window of instances beyond what it has tallied
+    leads = watch_read_ahead(monkeypatch)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
     window = cli.WINDOW_CHUNKS * cli.CHUNKSIZE * 2
     count = 2 * window + 5
     # 4-edge draws are over --max-edges 3, so skips fall in every window
@@ -266,8 +277,7 @@ def test_verify_pool_reads_one_window_ahead(capsys, monkeypatch):
             "--seed", "5", "--max-edges", "3", "--format", "json"]
     code, pooled, _ = run(capsys, argv + ["--workers", "2"])
     assert code == 2
-    assert drawn == count and len(leads) == count
-    assert max(leads) <= window
+    assert len(leads) == count and max(leads) <= window
     skipped = [record["index"] for record in json.loads(pooled)["skipped"]]
     assert skipped[0] < window < skipped[-1]
     assert run(capsys, argv)[:2] == (code, pooled)
@@ -306,6 +316,73 @@ def test_verify_random_sweep_with_over_limit_instances(capsys, tmp_path):
     assert doc["skipped"] and doc["failures"] == []
     assert doc["checked"] + len(doc["skipped"]) == 20
     assert err.count("skipped instance") == len(doc["skipped"])
+
+
+def test_verify_sweep_skips_unreadable_files(capsys, tmp_path, inst_file):
+    # a file that fails to load is a skip record naming its path; the
+    # sweep goes on and still writes the quarantine file
+    bad = tmp_path / "bad.json"
+    doc = json.loads(Path(inst_file).read_text())
+    doc["prefs"]["q"] = ["a1"]
+    bad.write_text(json.dumps(doc))
+    missing = str(tmp_path / "missing.json")
+    target = tmp_path / "q.json"
+    argv = ["verify", inst_file, str(bad), missing, "--quarantine", str(target)]
+    outputs = []
+    for workers in ("1", "2"):
+        target.unlink(missing_ok=True)
+        code, out, err = run(capsys, argv + ["--workers", workers])
+        assert code == 2
+        assert json.loads(target.read_text()) == []
+        assert out == (
+            "checked 1 instances: vertex sets and stable sets agree everywhere; "
+            "skipped 2 unreadable instance files\n"
+        )
+        assert err.startswith("skipped instance 1: ") and "'q'" in err
+        assert "skipped instance 2: " in err and "missing.json" in err
+        code, out, _ = run(capsys, argv + ["--format", "json", "--workers", workers])
+        assert code == 2
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+    doc = json.loads(outputs[0])
+    assert (doc["checked"], doc["ok"], doc["failures"]) == (1, 1, [])
+    assert [(s["index"], s["instance"]) for s in doc["skipped"]] == [(1, str(bad)), (2, missing)]
+
+
+def test_verify_workers_capped_at_cpu_count(capsys, monkeypatch):
+    # the fake pool records its size and maps serially, so no process
+    # is started however large the requested count
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    # one window of three workers and a few more, so the read-ahead
+    # shows which count sized the window
+    window = cli.WINDOW_CHUNKS * cli.CHUNKSIZE * 3
+    argv = ["verify", "--random", str(window + 5), "--a", "2", "--b", "2",
+            "--seed", "5", "--format", "json"]
+    code, serial, _ = run(capsys, argv)
+    leads = watch_read_ahead(monkeypatch)
+    assert run(capsys, argv + ["--workers", "1000000"])[:2] == (code, serial)
+    assert sizes == [3]
+    assert len(leads) == window + 5 and max(leads) == window
+    # one CPU leaves nothing to share: the sweep runs without a pool
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 1)
+    assert run(capsys, argv + ["--workers", "8"])[:2] == (code, serial)
+    assert sizes == [3]
 
 
 def test_skip_edgeless_without_possible_edges_is_input_error(capsys):

@@ -18,7 +18,6 @@ from stablepoly.instances import (
     parse_weights,
     random_instance,
     random_instances,
-    remove_edge,
     validate,
 )
 
@@ -100,26 +99,6 @@ def test_validate_catches_bad_tables():
     assert validate(Instance(1, 1, ((3,),), ((0,),))) != []
     with pytest.raises(ValueError):
         Instance(2, 1, ((0,),), ((0,),))
-
-
-def test_remove_edge_drops_both_listings(opposed4):
-    reduced = remove_edge(opposed4, Edge(0, 0))
-    assert Edge(0, 0) not in reduced.edges
-    assert reduced.a_prefs[0] == (1,)
-    assert reduced.b_prefs[0] == (1,)
-    # untouched lists carry over, names too
-    assert reduced.a_prefs[2] == opposed4.a_prefs[2]
-    assert reduced.a_names == opposed4.a_names
-    # the original is immutable and unaffected
-    assert Edge(0, 0) in opposed4.edges
-    with pytest.raises(ValueError):
-        remove_edge(reduced, Edge(0, 0))
-
-
-def test_remove_edge_keeps_relative_order():
-    inst = Instance(1, 3, ((2, 0, 1),), ((0,), (0,), (0,)))
-    reduced = remove_edge(inst, Edge(0, 0))
-    assert reduced.a_prefs[0] == (2, 1)
 
 
 def test_exhaustive_complete_counts():

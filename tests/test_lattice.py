@@ -130,8 +130,8 @@ def test_meet_join_midpoint_identity():
         stable = enumerate_stable(inst)
         for m1, m2 in itertools.combinations(stable, 2):
             meet, join = meet_join(inst, m1, m2)
-            assert is_stable(inst, meet, cross_check=True)
-            assert is_stable(inst, join, cross_check=True)
+            assert is_stable(inst, meet)
+            assert is_stable(inst, join)
             for edge in inst.canonical_edges():
                 lhs = (edge in m1.edges) + (edge in m2.edges)
                 rhs = (edge in meet.edges) + (edge in join.edges)

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from stablepoly import matchings
 from stablepoly.instances import (
     Edge,
     Instance,
@@ -74,8 +75,8 @@ def test_label(opposed2):
 def test_is_stable_golden(opposed2):
     best_for_a = Matching.from_edges([Edge(0, 0), Edge(1, 1)])
     best_for_b = Matching.from_edges([Edge(0, 1), Edge(1, 0)])
-    assert is_stable(opposed2, best_for_a, cross_check=True)
-    assert is_stable(opposed2, best_for_b, cross_check=True)
+    assert is_stable(opposed2, best_for_a)
+    assert is_stable(opposed2, best_for_b)
     for single in ((0, 0), (0, 1), (1, 0), (1, 1)):
         assert not is_stable(opposed2, Matching.from_edges([Edge(*single)]))
     assert not is_stable(opposed2, Matching.from_edges([]))
@@ -103,9 +104,19 @@ def test_stability_routes_agree_everywhere():
     stream = random_instances(3, 3, 0.7, seed=401)
     for inst in itertools.chain(itertools.islice(stream, 40), one_sided):
         for m in matchings_iter(inst):
-            verdict = is_stable(inst, m, cross_check=True)
+            verdict = is_stable(inst, m)
             pairs = {(e.a, e.b) for e in m.edges}
             assert verdict == is_stable_pairs(inst, pairs)
+
+
+def test_is_stable_raises_when_routes_disagree(opposed2, monkeypatch):
+    """A blocking scan that misses the blocking pair of an unstable
+    matching makes the covering test's verdict an error, not an answer."""
+    unstable = Matching.from_edges([Edge(0, 0)])
+    assert blocking_pairs(opposed2, unstable)
+    monkeypatch.setattr(matchings, "blocking_pairs", lambda instance, matching: [])
+    with pytest.raises(RuntimeError, match="stability routines disagree"):
+        is_stable(opposed2, unstable)
 
 
 def test_gale_shapley_golden(opposed2):
@@ -119,7 +130,7 @@ def test_gale_shapley_always_stable():
     stream = random_instances(4, 3, 0.6, seed=402)
     for inst in itertools.islice(stream, 60):
         for side in (SIDE_A, SIDE_B):
-            assert is_stable(inst, gale_shapley(inst, side), cross_check=True)
+            assert is_stable(inst, gale_shapley(inst, side))
 
 
 def test_gale_shapley_proposer_optimal():
