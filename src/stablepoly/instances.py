@@ -38,13 +38,6 @@ class Edge(NamedTuple):
     def b_node(self) -> NodeId:
         return NodeId(SIDE_B, self.b)
 
-    def other(self, node: NodeId) -> NodeId:
-        if node == self.a_node:
-            return self.b_node
-        if node == self.b_node:
-            return self.a_node
-        raise ValueError(f"{node} is not an endpoint of {self}")
-
 
 class InstanceError(ValueError):
     """Raised when serialized instance data cannot be interpreted."""
@@ -340,6 +333,10 @@ def instance_from_json(data: object) -> Instance:
             isinstance(x, str) and x for x in data.get(key, [])
         ):
             raise InstanceError(f"field {key!r} must be a list of non-empty names")
+        # edge names join two node names with a space, weight keys split on whitespace
+        spaced = [x for x in data[key] if any(c.isspace() for c in x)]
+        if spaced:
+            raise InstanceError(f"node names must not contain whitespace: {spaced}")
     a_names = list(data["a"])
     b_names = list(data["b"])
     if len(set(a_names)) != len(a_names) or len(set(b_names)) != len(b_names):

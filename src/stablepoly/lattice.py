@@ -2,20 +2,21 @@
 
 ``enumerate_stable`` lists the elements by walking the lattice down from
 the a-optimal matching, one break-marriage step at a time; it never
-builds an unstable matching. The difference of two stable matchings
-splits into node-disjoint alternating paths and cycles. Inside one
-component every a-side node favours the same input matching and every
-b-side node the other one; flipping all components with a given leaning
-produces the two lattice neighbours of the input pair.
+builds an unstable matching. Two stable matchings cover the same nodes,
+so their difference splits into node-disjoint alternating cycles, each a
+``Component`` with fields ``nodes``, ``edges`` and ``a_prefers``. Inside
+one cycle every a-side node favours the same input matching and every
+b-side node the other one; flipping all cycles with a given leaning
+produces the meet and join of the input pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .instances import SIDE_A, Edge, Instance, LimitError, NodeId
+from .instances import SIDE_A, SIDE_B, Edge, Instance, LimitError, NodeId
 from .matchings import Matching, blocking_pairs, gale_shapley
 
 
@@ -41,17 +42,17 @@ class SwapStabilityError(RuntimeError):
 
 @dataclass(frozen=True)
 class Component:
-    """One alternating path or cycle of the difference.
+    """One alternating cycle of the difference.
 
-    ``edges`` follows the walk; ``sources[k]`` records which matching
-    contributed ``edges[k]`` (1 or 2). ``a_prefers`` is the matching that
-    every a-side node of the component strictly prefers.
+    ``nodes`` is the walk: it starts at the cycle's least a-node, goes to
+    the smaller of that node's two partners and then alternates between
+    the two matchings. ``edges[k]`` joins ``nodes[k]`` to the next node,
+    the last edge closing the cycle. ``a_prefers`` is the matching that
+    every a-side node of the component strictly prefers (1 or 2).
     """
 
-    kind: str
     nodes: tuple[NodeId, ...]
     edges: tuple[Edge, ...]
-    sources: tuple[int, ...]
     a_prefers: int
 
     @property
@@ -77,32 +78,22 @@ class Decomposition:
 
 
 def _component_orientation(
-    instance: Instance, m1: Matching, m2: Matching, nodes: Sequence[NodeId]
+    instance: Instance, m1: Matching, m2: Matching, nodes: list[NodeId], leanings: list[int]
 ) -> int:
-    """Which matching the a-side of one component prefers, 1 or 2.
+    """Which matching the a-side of one cycle prefers, 1 or 2.
 
-    Every node of a component has different partners in the two matchings
-    (an agreed edge never enters the difference), so each node has a
-    strict leaning once being unmatched counts as worst. The leaning must
-    be uniform per side; a mixed component is reported with a certificate
-    instead of being guessed at.
+    ``leanings[k]`` is the matching whose partner ``nodes[k]`` strictly
+    prefers, and the walk alternates a-node, b-node. The leaning must be
+    uniform per side, the b-side leaning the other way; a mixed component
+    is reported with a certificate instead of being guessed at.
     """
-    leanings: dict[NodeId, int] = {}
-    for node in nodes:
-        p1 = m1.partner(node)
-        p2 = m2.partner(node)
-        if p1 == p2:
-            raise AssertionError(f"{node} has equal partners inside a difference component")
-        leanings[node] = 1 if instance.prefers(node, p1, p2) else 2
-    a_leanings = {leanings[n] for n in nodes if n.side == SIDE_A}
-    b_leanings = {leanings[n] for n in nodes if n.side != SIDE_A}
-    verdict = next(iter(a_leanings)) if a_leanings else (3 - next(iter(b_leanings)))
-    if a_leanings | {3 - x for x in b_leanings} != {verdict}:
+    verdict = leanings[0]
+    if leanings != [verdict, 3 - verdict] * (len(leanings) // 2):
         raise UniformityError(
             "difference component without a uniform preference direction",
             {
                 "nodes": [instance.node_name(n) for n in nodes],
-                "prefers": {instance.node_name(n): f"m{leanings[n]}" for n in nodes},
+                "prefers": {instance.node_name(n): f"m{x}" for n, x in zip(nodes, leanings)},
                 "m1": [instance.edge_name(e) for e in m1.sorted_edges()],
                 "m2": [instance.edge_name(e) for e in m2.sorted_edges()],
             },
@@ -111,7 +102,7 @@ def _component_orientation(
 
 
 def decompose(instance: Instance, m1: Matching, m2: Matching) -> Decomposition:
-    """Split the symmetric difference into oriented paths and cycles.
+    """Split the symmetric difference into oriented alternating cycles.
 
     Both inputs must be stable; the orientation claim does not survive
     unstable inputs and the caller is told so via ValueError.
@@ -127,61 +118,40 @@ def decompose(instance: Instance, m1: Matching, m2: Matching) -> Decomposition:
 
 
 def split_difference(instance: Instance, m1: Matching, m2: Matching) -> Decomposition:
-    """The component walk of ``decompose``, for inputs already known to be
-    stable: it checks no blocking pair. A mixed component still raises
-    ``UniformityError``.
+    """The cycle walk of ``decompose``, for inputs already known to be
+    stable: it checks no blocking pair. Two stable matchings cover the
+    same nodes (Gale and Sotomayor 1985), so their difference is a union
+    of cycles; inputs that cover different nodes raise ``AssertionError``
+    and a mixed component raises ``UniformityError``.
     """
-    diff: dict[NodeId, list[tuple[Edge, int]]] = {}
-    for source, m in ((1, m1), (2, m2)):
-        for edge in m.edges - (m1.edges & m2.edges):
-            diff.setdefault(edge.a_node, []).append((edge, source))
-            diff.setdefault(edge.b_node, []).append((edge, source))
-
-    visited_edges: set[Edge] = set()
+    ab1, ab2 = ({e.a: e.b for e in m.edges} for m in (m1, m2))
+    ba1, ba2 = ({b: a for a, b in ab.items()} for ab in (ab1, ab2))
+    if ab1.keys() != ab2.keys() or ba1.keys() != ba2.keys():
+        raise AssertionError("two stable matchings cover different nodes")
+    a_rank, b_rank = instance.a_rank, instance.b_rank
+    walked: set[int] = set()
     components: list[Component] = []
-
-    def walk(start: NodeId) -> Component:
-        nodes = [start]
+    for start in sorted(ab1):
+        if start in walked or ab1[start] == ab2[start]:
+            continue
+        # from the least a-node toward its smaller partner, then alternate
+        out, back = (ab1, ba2) if ab1[start] < ab2[start] else (ab2, ba1)
+        nodes: list[NodeId] = []
         edges: list[Edge] = []
-        sources: list[int] = []
-        current = start
-        while True:
-            options = [
-                (e, s) for e, s in diff[current] if e not in visited_edges
-            ]
-            if not options:
-                break
-            # Prefer the smaller far endpoint so the walk is reproducible.
-            edge, source = min(options, key=lambda es: es[0].other(current))
-            visited_edges.add(edge)
-            edges.append(edge)
-            sources.append(source)
-            current = edge.other(current)
-            if current == start:
-                return Component(
-                    "cycle",
-                    tuple(nodes),
-                    tuple(edges),
-                    tuple(sources),
-                    _component_orientation(instance, m1, m2, nodes),
-                )
-            nodes.append(current)
-        return Component(
-            "path",
-            tuple(nodes),
-            tuple(edges),
-            tuple(sources),
-            _component_orientation(instance, m1, m2, nodes),
-        )
-
-    endpoints = sorted(n for n, incident in diff.items() if len(incident) == 1)
-    for node in endpoints:
-        if any(e not in visited_edges for e, _ in diff[node]):
-            components.append(walk(node))
-    for node in sorted(diff):
-        if any(e not in visited_edges for e, _ in diff[node]):
-            components.append(walk(node))
-    components.sort(key=lambda c: min(c.nodes))
+        leanings: list[int] = []
+        a = start
+        while a not in walked:
+            walked.add(a)
+            b = out[a]
+            nodes += (NodeId(SIDE_A, a), NodeId(SIDE_B, b))
+            edges += (Edge(a, b), Edge(back[b], b))
+            leanings += (
+                1 if a_rank[a][ab1[a]] < a_rank[a][ab2[a]] else 2,
+                1 if b_rank[b][ba1[b]] < b_rank[b][ba2[b]] else 2,
+            )
+            a = back[b]
+        orientation = _component_orientation(instance, m1, m2, nodes, leanings)
+        components.append(Component(tuple(nodes), tuple(edges), orientation))
     return Decomposition(m1, m2, tuple(components))
 
 

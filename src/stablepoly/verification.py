@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .instances import Instance, instance_to_json
-from .lattice import MAX_STABLE_EDGES, enumerate_stable
+from .lattice import enumerate_stable
 from .matchings import Matching
 from .polytope import MAX_VERTEX_COLUMNS, Point, VertexReport, build_system
 
@@ -46,13 +46,12 @@ class VerificationResult:
 def verify_instance(instance: Instance, max_edges: int = MAX_VERTEX_COLUMNS) -> VerificationResult:
     """Enumerate both sides exactly and report any disagreement.
 
-    ``max_edges`` caps the vertex side; the stable side takes up to the
-    larger of it and its own limit. An instance over either raises
-    ``LimitError``.
+    ``max_edges`` is the one size limit: an instance with more edges
+    raises ``LimitError`` before either side is enumerated.
     """
     system = build_system(instance)
     report = system.enumerate_vertices(max_edges=max_edges)
-    stable = tuple(enumerate_stable(instance, max_edges=max(MAX_STABLE_EDGES, max_edges)))
+    stable = tuple(enumerate_stable(instance, max_edges=max_edges))
     vertex_points = {v.point for v in report.vertices if v.integral}
     stable_points = {system.incidence_vector(m): m for m in stable}
     fractional = tuple(v.point for v in report.vertices if not v.integral)

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 
 import stablepoly
@@ -46,6 +47,15 @@ PUBLIC = [
     "verify_instance",
 ]
 
+FIELDS = {
+    "AdjacencyVerdict": ("adjacent", "uniform", "maxima", "alternative"),
+    "Component": ("nodes", "edges", "a_prefers"),
+    "Decomposition": ("m1", "m2", "components"),
+    "LpResult": ("status", "point", "value"),
+    "VerificationResult": ("instance", "report", "stable", "fractional", "missing", "extra"),
+    "Vertex": ("point", "tight", "basis", "integral"),
+}
+
 
 def test_public_names_are_pinned():
     assert PUBLIC == sorted(PUBLIC)
@@ -59,3 +69,10 @@ def test_removed_names_stay_removed():
         mod = importlib.import_module(module)
         for name in ("Witness", "removed_edge_witness", "remove_edge"):
             assert not hasattr(mod, name), f"{module}.{name}"
+    assert not hasattr(stablepoly.Edge, "other")
+
+
+def test_record_fields_are_pinned():
+    for name, fields in FIELDS.items():
+        got = tuple(f.name for f in dataclasses.fields(getattr(stablepoly, name)))
+        assert got == fields, name

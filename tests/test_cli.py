@@ -446,6 +446,14 @@ def test_generate_needs_a_source(capsys):
     assert "give --complete" in err
 
 
+def test_name_with_whitespace_is_input_error(capsys, tmp_path):
+    path = tmp_path / "spaced.json"
+    path.write_text(json.dumps({"a": ["x 1"], "b": ["y"], "prefs": {"x 1": ["y"], "y": ["x 1"]}}))
+    code, out, err = run(capsys, ["lp", str(path)])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "whitespace" in err
+
+
 def test_unreadable_file_is_input_error(capsys, tmp_path):
     code, _, err = run(capsys, ["solve", str(tmp_path / "missing.json")])
     assert code == 2

@@ -28,10 +28,6 @@ def test_edge_endpoints():
     e = Edge(2, 5)
     assert e.a_node == NodeId(SIDE_A, 2)
     assert e.b_node == NodeId(SIDE_B, 5)
-    assert e.other(e.a_node) == e.b_node
-    assert e.other(e.b_node) == e.a_node
-    with pytest.raises(ValueError):
-        e.other(NodeId(SIDE_A, 3))
 
 
 def test_names_default_and_lookup(opposed2):
@@ -179,6 +175,13 @@ def test_json_rejects_malformed():
     # one-sided listing is reported as a mismatch
     with pytest.raises(InstanceError, match="mismatch"):
         instance_from_json({"a": ["x"], "b": ["y"], "prefs": {"x": ["y"]}})
+
+
+def test_json_rejects_names_with_whitespace():
+    # "x 1 y" could not be read back as a weight key, nor told apart in lp text
+    for a, b in ((["x 1"], ["y"]), (["x"], ["y\t2"]), (["x\u00a0"], ["y"])):
+        with pytest.raises(InstanceError, match="whitespace"):
+            instance_from_json({"a": a, "b": b, "prefs": {}})
 
 
 def test_load_instance(tmp_path, opposed2):

@@ -8,8 +8,15 @@ import weakref
 import pytest
 
 from stablepoly.adjacency import adjacency_verdict
-from stablepoly.instances import Edge, Instance, LimitError, random_instances
-from stablepoly.lattice import decompose, enumerate_stable, meet_join, swap
+from stablepoly.instances import SIDE_A, SIDE_B, Edge, Instance, LimitError, random_instances
+from stablepoly.lattice import (
+    UniformityError,
+    decompose,
+    enumerate_stable,
+    meet_join,
+    split_difference,
+    swap,
+)
 from stablepoly.matchings import Matching, is_stable
 
 from corpora import blocks, complete3, draw, latin
@@ -18,6 +25,18 @@ from oracles import filter_stable, is_stable_pairs, stable_sets
 
 def as_pairs(stable):
     return [tuple((e.a, e.b) for e in m.sorted_edges()) for m in stable]
+
+
+def assert_closed_walk(comp):
+    """The component is one cycle: its nodes alternate a, b from an
+    a-node, are distinct, and edge k joins node k to the next one, the
+    last edge closing the walk at the first node."""
+    nodes = comp.nodes
+    assert len(nodes) == len(comp.edges) >= 4 and len(set(nodes)) == len(nodes)
+    assert [n.side for n in nodes] == [SIDE_A, SIDE_B] * (len(nodes) // 2)
+    for k, edge in enumerate(comp.edges):
+        ends = {nodes[k], nodes[(k + 1) % len(nodes)]}
+        assert ends == {edge.a_node, edge.b_node}
 
 
 def pair_of(instance):
@@ -33,7 +52,7 @@ def test_decompose_single_cycle(opposed2):
     deco = decompose(opposed2, best_for_a, best_for_b)
     assert len(deco.components) == 1
     comp = deco.components[0]
-    assert comp.kind == "cycle"
+    assert_closed_walk(comp)
     assert comp.a_prefers == 1
     assert comp.edge_set == best_for_a.edges | best_for_b.edges
     assert len(comp.edges) == 4
@@ -59,7 +78,13 @@ def test_decompose_opposed_blocks(opposed4):
     m1 = Matching.from_edges([Edge(0, 0), Edge(1, 1), Edge(2, 3), Edge(3, 2)])
     m2 = Matching.from_edges([Edge(0, 1), Edge(1, 0), Edge(2, 2), Edge(3, 3)])
     deco = decompose(opposed4, m1, m2)
-    assert [c.kind for c in deco.components] == ["cycle", "cycle"]
+    # each walk leaves the cycle's least a-node toward its smaller partner
+    assert [c.edges for c in deco.components] == [
+        (Edge(0, 0), Edge(1, 0), Edge(1, 1), Edge(0, 1)),
+        (Edge(2, 2), Edge(3, 2), Edge(3, 3), Edge(2, 3)),
+    ]
+    for comp in deco.components:
+        assert_closed_walk(comp)
     assert [c.a_prefers for c in deco.components] == [1, 2]
     assert deco.flip_to_favour_b == (0,)
     assert deco.flip_to_favour_a == (1,)
@@ -81,9 +106,34 @@ def test_stable_pairs_only_make_cycles():
         stable = enumerate_stable(inst)
         for m1, m2 in itertools.combinations(stable, 2):
             deco = decompose(inst, m1, m2)
-            assert all(c.kind == "cycle" for c in deco.components)
+            for comp in deco.components:
+                assert_closed_walk(comp)
             covered = {n for e in m1.edges for n in (e.a_node, e.b_node)}
             assert covered == {n for e in m2.edges for n in (e.a_node, e.b_node)}
+
+
+def test_mixed_component_raises_with_certificate():
+    """Both a-nodes rank b1 first and both b-nodes rank a1 first, so in the
+    difference of these two matchings a1 leans to the first and a2 to the
+    second; the walk must not guess an orientation."""
+    inst = Instance(2, 2, ((0, 1), (0, 1)), ((0, 1), (0, 1)))
+    m1 = Matching.from_edges([Edge(0, 0), Edge(1, 1)])
+    m2 = Matching.from_edges([Edge(0, 1), Edge(1, 0)])
+    with pytest.raises(UniformityError) as info:
+        split_difference(inst, m1, m2)
+    certificate = info.value.certificate
+    assert certificate["nodes"] == ["a1", "b1", "a2", "b2"]
+    assert certificate["prefers"] == {"a1": "m1", "b1": "m1", "a2": "m2", "b2": "m2"}
+    assert certificate["m1"] == ["a1 b1", "a2 b2"]
+    assert certificate["m2"] == ["a1 b2", "a2 b1"]
+
+
+def test_split_difference_needs_equal_cover():
+    inst = Instance(2, 2, ((0, 1), (0, 1)), ((0, 1), (0, 1)))
+    one = Matching.from_edges([Edge(0, 0)])
+    two = Matching.from_edges([Edge(0, 0), Edge(1, 1)])
+    with pytest.raises(AssertionError, match="cover different nodes"):
+        split_difference(inst, one, two)
 
 
 def test_swap_roundtrip(opposed2):
