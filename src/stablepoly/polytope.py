@@ -150,7 +150,11 @@ class ConstraintSystem:
         for row in self.rows:
             if row.is_sign:
                 continue  # the solver holds variables nonnegative already
-            constraints.append((list(zip(row.cols, row.coeffs)), row.relation, row.rhs))
+            terms, rhs = list(zip(row.cols, row.coeffs)), row.rhs
+            if rhs.denominator == 1 and all(w.denominator == 1 for w in row.coeffs):
+                # int terms let solve_lp skip its Fraction row building
+                terms, rhs = [(c, w.numerator) for c, w in terms], rhs.numerator
+            constraints.append((terms, row.relation, rhs))
         return solve_lp(len(self.columns), constraints, objective, sense)
 
     def enumerate_vertices(self, max_edges: int = MAX_VERTEX_COLUMNS) -> VertexReport:
@@ -238,14 +242,15 @@ def build_system(instance: Instance) -> ConstraintSystem:
     columns = instance.canonical_edges()
     names = tuple(instance.edge_name(e) for e in columns)
     col_of = {e: j for j, e in enumerate(columns)}
+    # the columns at each node: a-nodes first, then b-nodes
+    incident: list[list[int]] = [[] for _ in range(instance.a_count + instance.b_count)]
+    for j, e in enumerate(columns):
+        incident[e.a].append(j)
+        incident[instance.a_count + e.b].append(j)
     rows: list[Row] = []
-    for node in instance.nodes():
-        incident = tuple(j for j, e in enumerate(columns) if node in (e.a_node, e.b_node))
-        if not incident:
-            continue
-        rows.append(
-            Row(incident, (ONE,) * len(incident), "<=", ONE, "degree", instance.node_name(node))
-        )
+    for name, cols in zip(instance.a_names + instance.b_names, incident):
+        if cols:
+            rows.append(Row(tuple(cols), (ONE,) * len(cols), "<=", ONE, "degree", name))
     for j, name in enumerate(names):
         rows.append(Row((j,), (ONE,), ">=", ZERO, "nonneg", name))
     for j, e in enumerate(columns):
@@ -293,7 +298,11 @@ def _integer_row(row: Row) -> _IntegerRow:
     ``>=`` row, scales every slack by one positive factor, so each slack
     keeps its sign.
     """
-    values, _ = scale_to_integers((*row.coeffs, row.rhs))
+    values = [*row.coeffs, row.rhs]
+    if any(v.denominator != 1 for v in values):
+        values, _ = scale_to_integers(values)
+    else:
+        values = [v.numerator for v in values]
     if row.relation == ">=":
         values = [-v for v in values]
     return tuple(zip(row.cols, values)), values[-1]

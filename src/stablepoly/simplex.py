@@ -12,7 +12,10 @@ its denominators, while its slack and artificial keep the coefficient
 of their columns, which changes no sign of a reduced cost and no order
 of a ratio test. Phase one weighs each artificial by 1/scale, so its
 objective is still the sum of the artificials; the objective is scaled
-once by the lcm of its denominators.
+once by the lcm of its denominators. A row given with ``int`` terms and
+right-hand side is its own integer form, at scale 1, and no
+``Fraction`` is built for it; ``ConstraintSystem.optimize`` passes every
+integral row that way.
 
 Each row, and the cost row, has its own positive denominator: the
 rational row is ``row / den``. Bareiss's scheme keeps one common
@@ -28,9 +31,12 @@ pivot element ``p``. A row whose entry ``f`` in column ``c`` is zero is
 not touched. Any other row ``a`` becomes ``(p*a - f*b) // den`` over
 denominator ``p``: that is the common scheme's ``(p*A - F*b) // d`` with
 ``A = a*d/den`` and ``F = f*d/den``, the row the common scheme holds
-after the pivot, so the division is exact. When ``den == p`` the update
-is ``a[j] -= f*b[j] // p`` on the nonzero entries of ``b`` only, each
-quotient again exact because the new row is integral. Only a clean-up
+after the pivot, so the division is exact. Off the support of ``b``
+(its nonzero entries) ``b[j] == 0``, so the new entry is ``p*a[j] //
+den``, exact by the same argument, and zero where ``a[j]`` is; only the
+entries on the support take the full formula. When ``den == p`` the
+update is ``a[j] -= f*b[j] // p`` on the support only, each quotient
+again exact because the new row is integral. Only a clean-up
 pivot after phase one can have ``p < 0``; negating ``b`` first negates
 exactly the rows the pivot rewrites and keeps every denominator
 positive. Phase two brings every row to ``d`` once, and its reduced
@@ -56,7 +62,7 @@ from .linalg import scale_to_integers
 
 ZERO = Fraction(0)
 
-Constraint = tuple[Sequence[tuple[int, Fraction]], str, Fraction]
+Constraint = tuple[Sequence[tuple[int, Fraction | int]], str, Fraction | int]
 
 
 @dataclass(frozen=True)
@@ -90,7 +96,11 @@ def _pivot(tableau: list[list[int]], dens: list[int], row: int, col: int, d: int
             for j, b in support:
                 other[j] -= f * b // p
         else:
-            tableau[r] = [(p * a - f * b) // den for a, b in zip(other, pivot_row)]
+            # off the support b[j] == 0, so the entry is p*a // den
+            new = [p * a // den if a else 0 for a in other]
+            for j, b in support:
+                new[j] = (p * other[j] - f * b) // den
+            tableau[r] = new
             dens[r] = p
     tableau[row] = pivot_row
     dens[row] = p
@@ -141,6 +151,8 @@ def solve_lp(
 
     Constraints are (sparse terms, relation, rhs) with relation one of
     "<=", ">=", "="; every variable is additionally held nonnegative.
+    Coefficients and right-hand sides may be ``int`` or ``Fraction``; a
+    row that is all ``int`` skips the ``Fraction`` row building.
     """
     if sense not in ("max", "min"):
         raise ValueError(f"unknown sense {sense!r}")
@@ -155,17 +167,18 @@ def solve_lp(
     for terms, relation, rhs in constraints:
         if relation not in ("<=", ">=", "="):
             raise ValueError(f"unknown relation {relation!r}")
-        dense = [ZERO] * num_vars
+        # an all-int row is its own integer form, at scale 1
+        integral = isinstance(rhs, int) and all(isinstance(c, int) for _, c in terms)
+        dense = [0] * num_vars if integral else [ZERO] * num_vars
         for col, coeff in terms:
             if not 0 <= col < num_vars:
                 raise ValueError(f"column {col} out of range")
-            dense[col] += Fraction(coeff)
-        rhs = Fraction(rhs)
-        if rhs < 0:
+            dense[col] += coeff if integral else Fraction(coeff)
+        dense.append(rhs if integral else Fraction(rhs))
+        if dense[-1] < 0:
             dense = [-x for x in dense]
-            rhs = -rhs
             relation = {"<=": ">=", ">=": "<=", "=": "="}[relation]
-        row, scale = scale_to_integers(dense + [rhs])
+        row, scale = (dense, 1) if integral else scale_to_integers(dense)
         rows.append(row)
         scales.append(scale)
         relations.append(relation)

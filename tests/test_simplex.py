@@ -1,3 +1,5 @@
+import dataclasses
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -185,7 +187,10 @@ def test_pivot_leaves_rows_with_zero_in_pivot_column():
     # random integer tableaus (every nonzero pivot sequence keeps the
     # fraction-free divisions exact), each pivot checked against the
     # Fraction one; a row with 0 in the pivot column keeps its list object
-    # and its denominator, so no pivot rescales a row it does not change
+    # and its denominator, so no pivot rescales a row it does not change.
+    # A row over a denominator other than the pivot element, with a
+    # nonzero entry where the pivot row has none, meets the off-support
+    # rescale p*a // den, which must be exact too.
     rng = random.Random(1314)
     seen = Counter()
     for _ in range(40):
@@ -204,13 +209,21 @@ def test_pivot_leaves_rows_with_zero_in_pivot_column():
                 if r != row and tableau[r][col] == 0
             }
             seen["negative"] += tableau[row][col] * dens[row] < 0
+            pivot_row = [x * d // dens[row] for x in tableau[row]]
+            p = abs(pivot_row[col])
+            seen["off support"] += sum(
+                1
+                for r, a in enumerate(tableau)
+                if r != row and a[col] and dens[r] != p
+                and any(x and not b for x, b in zip(a, pivot_row))
+            )
             d = simplex._pivot(tableau, dens, row, col, d)
             assert d > 0 and all(den > 0 for den in dens)
             assert [[F(x, den) for x in r] for r, den in zip(tableau, dens)] == rational
             for r, (kept_row, kept_den) in kept.items():
                 assert tableau[r] is kept_row and dens[r] == kept_den
             seen["kept"] += len(kept)
-    assert seen["kept"] and seen["negative"]
+    assert seen["kept"] and seen["negative"] and seen["off support"] >= 20
 
 
 def test_pivot_column_zero_in_other_rows():
@@ -241,15 +254,21 @@ def test_mixed_denominator_rows():
     assert result.value == F(55, 26)
 
 
-def test_int_and_fraction_coefficients_agree():
+def test_int_and_fraction_coefficients_agree(pivots):
+    # the first row is all int, so solve_lp takes it as its own integer
+    # form; the mixed second row and the all-Fraction copy go through
+    # Fractions, and all of them take the same pivots
     rows = [([(0, 1), (1, 2)], "<=", 4), ([(0, F(3)), (1, 1)], "<=", F(6))]
     as_ints = solve_lp(2, rows, [1, 1])
+    int_pivots = list(pivots)
+    pivots.clear()
     as_fractions = solve_lp(
         2,
         [([(j, F(c)) for j, c in terms], rel, F(rhs)) for terms, rel, rhs in rows],
         [F(1), F(1)],
     )
     assert as_ints == as_fractions
+    assert int_pivots and int_pivots == pivots
     assert as_ints.point == (F(8, 5), F(6, 5))
     assert all(type(x) is Fraction for x in as_ints.point)
     assert type(as_ints.value) is Fraction
@@ -357,6 +376,35 @@ def test_random_lps_match_fraction_tableau(pivots):
     assert set(relations) == {(rel, neg) for rel in ("<=", ">=", "=") for neg in (False, True)}
 
 
+def test_integer_rows_match_fraction_tableau(pivots):
+    # the random LPs with about half of the rows scaled by the lcm of
+    # their denominators and given as plain ints, so those take
+    # solve_lp's integer path at scale 1 beside Fraction rows at their
+    # own scales; the pivots must be the Fraction tableau's, and the ones
+    # the same rows take as Fractions (the unscaled rows are another
+    # phase one: its objective sums the artificials of the rows as given)
+    rng = random.Random(608)
+    relations = Counter()
+    for _ in range(600):
+        n, rows, goal, sense = _random_lp(rng)
+        mixed = []
+        for terms, relation, rhs in rows:
+            if rng.random() < 0.5:
+                mixed.append((terms, relation, rhs))
+                continue
+            scale = math.lcm(rhs.denominator, *[c.denominator for _, c in terms])
+            ints = [(j, int(c * scale)) for j, c in terms]
+            mixed.append((ints, relation, int(rhs * scale)))
+            relations[relation, rhs < 0] += 1
+        got, _ = _assert_same(n, mixed, goal, sense, pivots)
+        int_pivots = list(pivots)
+        pivots.clear()
+        as_fractions = [([(j, F(c)) for j, c in t], rel, F(rhs)) for t, rel, rhs in mixed]
+        assert solve_lp(n, as_fractions, goal, sense) == got
+        assert pivots == int_pivots
+    assert set(relations) == {(rel, neg) for rel in ("<=", ">=", "=") for neg in (False, True)}
+
+
 def test_edge_cases_match_fraction_tableau(pivots):
     rows = [([(0, F(1)), (1, F(1))], ">=", F(1)), ([(0, F(1))], "<=", F(2))]
     with pytest.raises(ValueError, match="objective length"):
@@ -403,6 +451,35 @@ def test_optimize_lps_match_fraction_tableau(monkeypatch, pivots):
     calls = _recorded_calls(monkeypatch, polytope, run)
     assert len(calls) == 2 * len(instances)
     for args in calls:
+        result, _ = _assert_same(*args, pivots)
+        assert result.status == "optimal"
+
+
+def test_optimize_fraction_row_matches_fraction_tableau(monkeypatch, pivots):
+    # a hand-built system whose first stability row weighs its first
+    # column by 1/2: optimize hands that row over as Fractions and every
+    # other row as ints, and each solve takes the Fraction tableau's pivots
+    rng = random.Random(609)
+    system = build_system(random_instance(3, 3, 1.0, rng))
+    rows = list(system.rows)
+    k = next(i for i, row in enumerate(rows) if row.kind == "stability" and len(row.cols) > 1)
+    rows[k] = dataclasses.replace(rows[k], coeffs=(F(1, 2),) + rows[k].coeffs[1:])
+    halved = polytope.ConstraintSystem(system.columns, system.column_names, tuple(rows))
+
+    def run():
+        for sense in ("max", "min") * 3:
+            weights = [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in halved.columns]
+            halved.optimize(weights, sense)
+
+    calls = _recorded_calls(monkeypatch, polytope, run)
+    assert len(calls) == 6
+    for args in calls:
+        constraints = args[1]
+        kinds = Counter(
+            Fraction if any(type(w) is Fraction for _, w in terms) else int
+            for terms, _, _ in constraints
+        )
+        assert kinds[Fraction] == 1 and kinds[int] == len(constraints) - 1
         result, _ = _assert_same(*args, pivots)
         assert result.status == "optimal"
 
