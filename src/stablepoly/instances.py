@@ -155,16 +155,12 @@ class Instance:
                 return position
         raise ValueError(f"{other} is not ranked by {node}")
 
-    def prefers(self, node: NodeId, first: NodeId | None, second: NodeId | None) -> bool:
+    def prefers(self, node: NodeId, first: NodeId, second: NodeId) -> bool:
         """True when ``node`` strictly prefers ``first`` over ``second``.
 
-        ``None`` stands for being unmatched and loses against every ranked
-        neighbour; two ``None`` arguments compare equal, hence False.
+        Both must be ranked by ``node``: ``rank`` raises ``ValueError``
+        otherwise.
         """
-        if first is None:
-            return False
-        if second is None:
-            return True
         return self.rank(node, first) < self.rank(node, second)
 
     def better_edges(self, at: NodeId, than: NodeId) -> frozenset[Edge]:
@@ -190,13 +186,23 @@ class Instance:
         The cover of ab is ab itself, the edges at a that a prefers to b,
         and the edges at b that b prefers to a. A matching dominates ab
         when it meets this set, and is stable when it meets every one.
+        Each node's rank table is read once, best first, and every edge
+        at the node takes the edges already passed.
         """
-        return {
-            e: self.better_edges(at=e.a_node, than=e.b_node)
-            | self.better_edges(at=e.b_node, than=e.a_node)
-            | {e}
-            for e in self.edges
-        }
+        covers: dict[Edge, list[Edge]] = {e: [e] for e in self.edges}
+
+        def add(ranked: Iterable[Edge]) -> None:
+            better: list[Edge] = []
+            for e in ranked:
+                if e in covers:
+                    covers[e] += better
+                    better.append(e)
+
+        for i, ranks in enumerate(self.a_rank):
+            add(Edge(i, j) for j in sorted(ranks, key=ranks.__getitem__))
+        for j, ranks in enumerate(self.b_rank):
+            add(Edge(i, j) for i in sorted(ranks, key=ranks.__getitem__))
+        return {e: frozenset(cover) for e, cover in covers.items()}
 
 
 def validate(instance: Instance) -> list[str]:

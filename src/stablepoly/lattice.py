@@ -17,7 +17,7 @@ from functools import lru_cache
 from typing import Iterable
 
 from .instances import SIDE_A, SIDE_B, Edge, Instance, LimitError, NodeId
-from .matchings import Matching, blocking_pairs, gale_shapley
+from .matchings import Matching, blocking_pairs, gale_shapley, proposal_lists
 
 
 class UniformityError(RuntimeError):
@@ -234,10 +234,7 @@ def enumerate_stable(instance: Instance, max_edges: int = MAX_STABLE_EDGES) -> l
 @lru_cache(maxsize=1)
 def _stable_lattice(instance: Instance) -> tuple[Matching, ...]:
     """The break-marriage walk of ``enumerate_stable``, sorted by edges."""
-    lists = [
-        tuple(b.index for b in instance.neighbors(NodeId(SIDE_A, i)))
-        for i in range(instance.a_count)
-    ]
+    lists = proposal_lists(instance, SIDE_A)
     b_rank = instance.b_rank
     start = gale_shapley(instance, SIDE_A)
     pos: list[int | None] = [None] * instance.a_count

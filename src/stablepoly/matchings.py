@@ -1,9 +1,14 @@
-"""Matchings over a preference instance, stability tests, proposal algorithm."""
+"""Matchings over a preference instance, stability tests, proposal algorithm.
+
+A matching is its set of edges, each a pair of node indices. The stability
+tests and deferred acceptance work on those indices and on the instance's
+integer rank tables; no map keyed by ``NodeId`` is built.
+"""
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .instances import SIDE_A, SIDE_B, Edge, Instance, NodeId
@@ -11,19 +16,17 @@ from .instances import SIDE_A, SIDE_B, Edge, Instance, NodeId
 
 @dataclass(frozen=True)
 class Matching:
-    """A set of pairwise node-disjoint edges."""
+    """A set of pairwise node-disjoint edges.
+
+    Only the edges are stored: no two may share an a-index or a b-index.
+    """
 
     edges: frozenset[Edge]
-    _partner: dict[NodeId, NodeId] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        partner: dict[NodeId, NodeId] = {}
-        for edge in self.edges:
-            for node, other in ((edge.a_node, edge.b_node), (edge.b_node, edge.a_node)):
-                if node in partner:
-                    raise ValueError(f"two matching edges share node {node}")
-                partner[node] = other
-        object.__setattr__(self, "_partner", partner)
+        size = len(self.edges)
+        if len({e.a for e in self.edges}) != size or len({e.b for e in self.edges}) != size:
+            raise ValueError(f"two matching edges share a node: {sorted(self.edges)}")
 
     @classmethod
     def from_edges(cls, edges: Iterable[Edge]) -> "Matching":
@@ -56,7 +59,10 @@ class Matching:
         return cls(frozenset(edges))
 
     def partner(self, node: NodeId) -> NodeId | None:
-        return self._partner.get(node)
+        """The node matched to ``node``, or None; a scan of the edges."""
+        if node.side == SIDE_A:
+            return next((e.b_node for e in self.edges if e.a == node.index), None)
+        return next((e.a_node for e in self.edges if e.b == node.index), None)
 
     def sorted_edges(self) -> tuple[Edge, ...]:
         return tuple(sorted(self.edges))
@@ -106,22 +112,49 @@ def is_stable(instance: Instance, matching: Matching) -> bool:
 
 
 def blocking_pairs(instance: Instance, matching: Matching) -> list[Edge]:
-    """Edges whose endpoints would both rather have each other, sorted."""
+    """Edges whose endpoints would both rather have each other, sorted.
+
+    Each a-node's list is read only down to its partner's rank, since the
+    a-node wants no edge further down. A listing counts only at the
+    position its rank records, so an index listed twice is read once;
+    listings the b-node does not return are no edges and are skipped.
+    """
     _require_subgraph(instance, matching)
     a_partner = {e.a: e.b for e in matching.edges}
     b_partner = {e.b: e.a for e in matching.edges}
-    a_rank, b_rank = instance.a_rank, instance.b_rank
+    a_rank, b_rank, b_count = instance.a_rank, instance.b_rank, instance.b_count
     blocking = []
-    for edge in sorted(instance.edges):
-        a, b = edge
-        mine, theirs = a_partner.get(a), b_partner.get(b)
-        if mine == b:
-            continue
-        if (mine is None or a_rank[a][b] < a_rank[a][mine]) and (
-            theirs is None or b_rank[b][a] < b_rank[b][theirs]
-        ):
-            blocking.append(edge)
+    for a, prefs in enumerate(instance.a_prefs):
+        ranks = a_rank[a]
+        mine = a_partner.get(a)
+        for position in range(len(prefs) if mine is None else ranks[mine]):
+            b = prefs[position]
+            if ranks[b] != position:
+                continue
+            rank = b_rank[b].get(a) if 0 <= b < b_count else None
+            if rank is None:
+                continue
+            theirs = b_partner.get(b)
+            if theirs is None or rank < b_rank[b][theirs]:
+                blocking.append(Edge(a, b))
+    blocking.sort()
     return blocking
+
+
+def proposal_lists(instance: Instance, side: str) -> list[tuple[int, ...]]:
+    """Each node's list on ``side`` cut down to its edges, best first.
+
+    One-sided listings and out-of-range indices are dropped, so every
+    entry indexes a node that ranks the lister back.
+    """
+    if side == SIDE_A:
+        prefs, other_rank = instance.a_prefs, instance.b_rank
+    else:
+        prefs, other_rank = instance.b_prefs, instance.a_rank
+    return [
+        tuple(j for j in row if 0 <= j < len(other_rank) and i in other_rank[j])
+        for i, row in enumerate(prefs)
+    ]
 
 
 def gale_shapley(instance: Instance, proposing_side: str = SIDE_A) -> Matching:
@@ -132,38 +165,31 @@ def gale_shapley(instance: Instance, proposing_side: str = SIDE_A) -> Matching:
     """
     if proposing_side not in (SIDE_A, SIDE_B):
         raise ValueError(f"unknown side {proposing_side!r}")
-    held: dict[NodeId, NodeId] = {}
-    next_choice: dict[NodeId, int] = {}
-    lists: dict[NodeId, tuple[NodeId, ...]] = {}
-    free: deque[NodeId] = deque()
-    for node in instance.nodes():
-        if node.side != proposing_side:
-            continue
-        lists[node] = instance.neighbors(node)
-        next_choice[node] = 0
-        if lists[node]:
-            free.append(node)
+    lists = proposal_lists(instance, proposing_side)
+    rank = instance.b_rank if proposing_side == SIDE_A else instance.a_rank
+    held: list[int | None] = [None] * len(rank)
+    next_choice = [0] * len(lists)
+    free = deque(p for p, row in enumerate(lists) if row)
     while free:
         proposer = free.popleft()
-        if next_choice[proposer] >= len(lists[proposer]):
-            continue
         target = lists[proposer][next_choice[proposer]]
         next_choice[proposer] += 1
-        current = held.get(target)
+        current = held[target]
         if current is None:
             held[target] = proposer
-        elif instance.prefers(target, proposer, current):
-            held[target] = proposer
-            if next_choice[current] < len(lists[current]):
-                free.append(current)
-        else:
-            if next_choice[proposer] < len(lists[proposer]):
-                free.append(proposer)
-    edges = []
-    for receiver, proposer in held.items():
-        a, b = (proposer, receiver) if proposing_side == SIDE_A else (receiver, proposer)
-        edges.append(Edge(a.index, b.index))
-    return Matching(frozenset(edges))
+            continue
+        if rank[target][proposer] < rank[target][current]:
+            held[target], proposer = proposer, current
+        # the rejected one goes on down its list
+        if next_choice[proposer] < len(lists[proposer]):
+            free.append(proposer)
+    return Matching(
+        frozenset(
+            Edge(p, r) if proposing_side == SIDE_A else Edge(r, p)
+            for r, p in enumerate(held)
+            if p is not None
+        )
+    )
 
 
 def matchings_iter(instance: Instance) -> Iterator[Matching]:

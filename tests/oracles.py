@@ -41,11 +41,13 @@ def is_matching_pairs(pairs):
     return len(set(a_side)) == len(pairs) and len(set(b_side)) == len(pairs)
 
 
-def is_stable_pairs(instance, pairs):
-    """No edge outside the matching preferred by both of its endpoints."""
+def blocking_pairs_of(instance, pairs):
+    """Every edge outside the matching preferred by both of its endpoints,
+    sorted, found by scanning all edges with ``list.index``."""
     chosen = set(pairs)
     a_partner = {i: j for i, j in pairs}
     b_partner = {j: i for i, j in pairs}
+    blocking = []
     for i, j in edge_pairs(instance):
         if (i, j) in chosen:
             continue
@@ -56,8 +58,13 @@ def is_stable_pairs(instance, pairs):
         cur = b_partner.get(j)
         b_wants = cur is None or b_list.index(i) < b_list.index(cur)
         if a_wants and b_wants:
-            return False
-    return True
+            blocking.append((i, j))
+    return blocking
+
+
+def is_stable_pairs(instance, pairs):
+    """No edge outside the matching preferred by both of its endpoints."""
+    return not blocking_pairs_of(instance, pairs)
 
 
 def stable_sets(instance):

@@ -52,6 +52,7 @@ FIELDS = {
     "Component": ("nodes", "edges", "a_prefers"),
     "Decomposition": ("m1", "m2", "components"),
     "LpResult": ("status", "point", "value"),
+    "Matching": ("edges",),
     "VerificationResult": ("instance", "report", "stable", "fractional", "missing", "extra"),
     "Vertex": ("point", "tight", "basis", "integral"),
 }

@@ -21,7 +21,8 @@ from stablepoly.instances import (
     validate,
 )
 
-from oracles import edge_pairs
+from corpora import draw
+from oracles import cover_pairs, edge_pairs
 
 
 def test_edge_endpoints():
@@ -54,14 +55,31 @@ def test_neighbors_in_preference_order(opposed2):
     assert opposed2.neighbors(b) == (NodeId(SIDE_A, 1), NodeId(SIDE_A, 0))
 
 
-def test_prefers_treats_none_as_worst(opposed2):
-    a1 = NodeId(SIDE_A, 0)
+def test_prefers_compares_ranks(opposed2):
+    a1, a2 = NodeId(SIDE_A, 0), NodeId(SIDE_A, 1)
     b1, b2 = NodeId(SIDE_B, 0), NodeId(SIDE_B, 1)
     assert opposed2.prefers(a1, b1, b2)
     assert not opposed2.prefers(a1, b2, b1)
-    assert opposed2.prefers(a1, b2, None)
-    assert not opposed2.prefers(a1, None, b2)
-    assert not opposed2.prefers(a1, None, None)
+    assert not opposed2.prefers(a1, b1, b1)
+    assert opposed2.prefers(b1, a2, a1)
+    assert not opposed2.prefers(b1, a1, a2)
+    # a one-sided listing keeps its position: a1 ranks b2 first
+    lopsided = Instance(2, 2, ((1, 0), (1,)), ((0,), (1,)))
+    assert lopsided.prefers(a1, b2, b1)
+    with pytest.raises(ValueError):
+        opposed2.prefers(a1, b1, NodeId(SIDE_B, 2))
+
+
+def test_cover_sets_match_oracle():
+    """The covers read off the rank tables equal the ones cut from the raw
+    preference lists, also where one-sided listings sit in the lists."""
+    rng = random.Random(412)
+    one_sided = [draw(rng, 4, 4, 0.8, 0.3) for _ in range(60)]
+    lopsided = [draw(rng, 3, 5, 0.7, 0.5) for _ in range(30)]
+    plain = list(itertools.islice(random_instances(4, 3, 0.7, seed=413), 30))
+    for inst in itertools.chain(exhaustive_complete(2), one_sided, lopsided, plain):
+        covers = {tuple(e): {tuple(f) for f in cover} for e, cover in inst.cover_sets.items()}
+        assert covers == cover_pairs(inst)
 
 
 def test_rank_and_better_edges(opposed2):

@@ -21,8 +21,8 @@ from stablepoly.matchings import (
     matchings_iter,
 )
 
-from corpora import draw
-from oracles import is_stable_pairs, stable_sets
+from corpora import complete3, draw
+from oracles import blocking_pairs_of, is_stable_pairs, stable_sets
 
 
 def test_matching_rejects_shared_node():
@@ -30,6 +30,21 @@ def test_matching_rejects_shared_node():
         Matching.from_edges([Edge(0, 0), Edge(0, 1)])
     with pytest.raises(ValueError):
         Matching.from_edges([Edge(0, 1), Edge(2, 1)])
+    # the two sides are checked apart: a-node 0 and b-node 0 are different nodes
+    assert len(Matching.from_edges([Edge(0, 1), Edge(1, 0), Edge(2, 2)])) == 3
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [
+        [Edge(1, 0), Edge(0, 2), Edge(1, 3)],  # a-node 1 twice, b-nodes distinct
+        [Edge(0, 1), Edge(2, 0), Edge(3, 1)],  # b-node 1 twice, a-nodes distinct
+    ],
+    ids=["a-node", "b-node"],
+)
+def test_matching_rejects_one_shared_side(edges):
+    with pytest.raises(ValueError, match="share a node"):
+        Matching.from_edges(edges)
 
 
 def test_from_pairs_validates(opposed2):
@@ -94,6 +109,29 @@ def test_blocking_pairs_golden(opposed2, single_edge):
     assert blocking_pairs(opposed2, m) == [Edge(1, 0), Edge(1, 1)]
     assert blocking_pairs(single_edge, Matching.from_edges([])) == [Edge(0, 0)]
     assert blocking_pairs(single_edge, Matching.from_edges([Edge(0, 0)])) == []
+    # a1 lists an index past b2 and one below b1, b2 lists a1 one-sidedly:
+    # none of these listings is an edge, and none is read as one
+    lopsided = Instance(2, 2, ((-1, 5, 0), (1,)), ((0,), (1, 0)))
+    assert blocking_pairs(lopsided, Matching.from_edges([])) == [Edge(0, 0), Edge(1, 1)]
+    assert blocking_pairs(lopsided, Matching.from_edges([Edge(0, 0)])) == [Edge(1, 1)]
+
+
+def test_blocking_pairs_match_oracle():
+    """The scan that stops at each a-node's partner finds the same edges
+    as a scan of every edge, on every matching of the instance, stable or
+    not and with unmatched nodes, also where one-sided listings shift the
+    rank positions."""
+    rng = random.Random(409)
+    complete = [complete3(k) for k in rng.sample(range(6**6), 120)]
+    one_sided = [draw(rng, 4, 4, 0.8, 0.3) for _ in range(40)]
+    plain = list(itertools.islice(random_instances(4, 4, 0.7, seed=410), 20))
+    scanned = 0
+    for inst in complete + one_sided + plain:
+        for m in matchings_iter(inst):
+            pairs = [(e.a, e.b) for e in m.edges]
+            assert blocking_pairs(inst, m) == [Edge(*p) for p in blocking_pairs_of(inst, pairs)]
+            scanned += 1
+    assert scanned > 8000
 
 
 def test_stability_routes_agree_everywhere():
@@ -107,6 +145,23 @@ def test_stability_routes_agree_everywhere():
             verdict = is_stable(inst, m)
             pairs = {(e.a, e.b) for e in m.edges}
             assert verdict == is_stable_pairs(inst, pairs)
+
+
+def test_repeated_listing_counts_at_its_rank():
+    """An index listed twice ranks at its last listing, in the covers and
+    in the blocking scan alike, so the two routes agree on such lists too
+    (``validate`` rejects them, ``Instance`` does not)."""
+    inst = Instance(1, 2, ((1, 0, 1),), ((0,), (0,)))
+    assert blocking_pairs(inst, Matching.from_edges([Edge(0, 0)])) == []
+    assert is_stable(inst, Matching.from_edges([Edge(0, 0)]))
+    assert blocking_pairs(inst, Matching.from_edges([Edge(0, 1)])) == [Edge(0, 0)]
+    rng = random.Random(411)
+    for _ in range(200):
+        drawn = draw(rng, 3, 3, 0.8, 0.2)
+        a_prefs = tuple(row + row[:1] for row in drawn.a_prefs)
+        inst = Instance(3, 3, a_prefs, drawn.b_prefs)
+        for m in matchings_iter(inst):
+            is_stable(inst, m)
 
 
 def test_is_stable_raises_when_routes_disagree(opposed2, monkeypatch):
