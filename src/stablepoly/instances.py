@@ -121,17 +121,6 @@ class Instance:
         a, b = (u, v) if u.side == SIDE_A else (v, u)
         return Edge(a.index, b.index) in self.edges
 
-    def neighbors(self, node: NodeId) -> tuple[NodeId, ...]:
-        """Neighbours of ``node`` in preference order, best first.
-
-        Only mutual listings count; a one-sided listing is not an edge.
-        """
-        if node.side == SIDE_A:
-            listed = (NodeId(SIDE_B, j) for j in self.a_prefs[node.index])
-        else:
-            listed = (NodeId(SIDE_A, i) for i in self.b_prefs[node.index])
-        return tuple(v for v in listed if self.has_edge(node, v))
-
     def canonical_edges(self) -> tuple[Edge, ...]:
         return tuple(sorted(self.edges))
 
@@ -162,22 +151,6 @@ class Instance:
         otherwise.
         """
         return self.rank(node, first) < self.rank(node, second)
-
-    def better_edges(self, at: NodeId, than: NodeId) -> frozenset[Edge]:
-        """Edges at node ``at`` whose far endpoint ``at`` prefers to ``than``.
-
-        ``than`` must itself be a neighbour of ``at``; the cutoff is strict,
-        so the edge to ``than`` is never included.
-        """
-        cutoff = self.rank(at, than)
-        ranks = (self.a_rank if at.side == SIDE_A else self.b_rank)[at.index]
-        result = []
-        for other in self.neighbors(at):
-            if ranks[other.index] >= cutoff:
-                continue
-            a, b = (at, other) if at.side == SIDE_A else (other, at)
-            result.append(Edge(a.index, b.index))
-        return frozenset(result)
 
     @cached_property
     def cover_sets(self) -> dict[Edge, frozenset[Edge]]:

@@ -14,8 +14,13 @@ from fractions import Fraction
 from typing import Sequence
 
 
-def scale_to_integers(values: Sequence[Fraction]) -> tuple[list[int], int]:
-    """``values`` times the lcm of their denominators, and that lcm."""
+def scale_to_integers(values: Sequence[int | Fraction]) -> tuple[list[int], int]:
+    """``values`` times the lcm of their denominators, and that lcm.
+
+    An ``int`` is a rational of denominator 1, so ``int`` and ``Fraction``
+    entries mix freely; any other type (a ``float``) has no
+    ``denominator`` and raises ``AttributeError``.
+    """
     # a list, not a generator: unpacking a generator builds a resized
     # tuple, and those pile up on the interpreter's tuple free lists
     scale = math.lcm(*[x.denominator for x in values])

@@ -33,9 +33,9 @@ class Row:
     """One inequality, sparse over the edge columns."""
 
     cols: tuple[int, ...]
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[int | Fraction, ...]
     relation: str
-    rhs: Fraction
+    rhs: int | Fraction
     kind: str
     subject: str
 
@@ -58,7 +58,7 @@ class Row:
             and self.relation == ">="
         )
 
-    def dense(self, width: int) -> list[Fraction]:
+    def dense(self, width: int) -> list[int | Fraction]:
         out = [ZERO] * width
         for c, w in zip(self.cols, self.coeffs):
             out[c] = w
@@ -141,20 +141,15 @@ class ConstraintSystem:
         self, weights: Mapping[Edge, Fraction] | Sequence[Fraction], sense: str = "max"
     ) -> LpResult:
         if isinstance(weights, Mapping):
-            objective = [Fraction(weights.get(e, ZERO)) for e in self.columns]
+            objective = [weights.get(e, 0) for e in self.columns]
         else:
-            objective = [Fraction(w) for w in weights]
-            if len(objective) != len(self.columns):
-                raise ValueError("objective length does not match column count")
-        constraints = []
-        for row in self.rows:
-            if row.is_sign:
-                continue  # the solver holds variables nonnegative already
-            terms, rhs = list(zip(row.cols, row.coeffs)), row.rhs
-            if rhs.denominator == 1 and all(w.denominator == 1 for w in row.coeffs):
-                # int terms let solve_lp skip its Fraction row building
-                terms, rhs = [(c, w.numerator) for c, w in terms], rhs.numerator
-            constraints.append((terms, row.relation, rhs))
+            objective = list(weights)
+        # the solver holds variables nonnegative already
+        constraints = [
+            (list(zip(row.cols, row.coeffs)), row.relation, row.rhs)
+            for row in self.rows
+            if not row.is_sign
+        ]
         return solve_lp(len(self.columns), constraints, objective, sense)
 
     def enumerate_vertices(self, max_edges: int = MAX_VERTEX_COLUMNS) -> VertexReport:
@@ -250,12 +245,12 @@ def build_system(instance: Instance) -> ConstraintSystem:
     rows: list[Row] = []
     for name, cols in zip(instance.a_names + instance.b_names, incident):
         if cols:
-            rows.append(Row(tuple(cols), (ONE,) * len(cols), "<=", ONE, "degree", name))
+            rows.append(Row(tuple(cols), (1,) * len(cols), "<=", 1, "degree", name))
     for j, name in enumerate(names):
-        rows.append(Row((j,), (ONE,), ">=", ZERO, "nonneg", name))
+        rows.append(Row((j,), (1,), ">=", 0, "nonneg", name))
     for j, e in enumerate(columns):
         cols = tuple(sorted(col_of[f] for f in instance.cover_sets[e]))
-        rows.append(Row(cols, (ONE,) * len(cols), ">=", ONE, "stability", names[j]))
+        rows.append(Row(cols, (1,) * len(cols), ">=", 1, "stability", names[j]))
     return ConstraintSystem(columns, names, tuple(rows))
 
 
@@ -294,15 +289,12 @@ def _upper_bound(system: ConstraintSystem, scaled: Sequence[_IntegerRow]) -> Fra
 def _integer_row(row: Row) -> _IntegerRow:
     """``row`` as ``sum(a * x[c] for c, a in terms) <= rhs`` over the integers.
 
-    Multiplying by the lcm of the row's denominators, and by -1 for a
-    ``>=`` row, scales every slack by one positive factor, so each slack
-    keeps its sign.
+    Multiplying by the lcm of the row's denominators (1 for an all-``int``
+    row, such as every row of ``build_system``), and by -1 for a ``>=``
+    row, scales every slack by one positive factor, so each slack keeps
+    its sign.
     """
-    values = [*row.coeffs, row.rhs]
-    if any(v.denominator != 1 for v in values):
-        values, _ = scale_to_integers(values)
-    else:
-        values = [v.numerator for v in values]
+    values, _ = scale_to_integers([*row.coeffs, row.rhs])
     if row.relation == ">=":
         values = [-v for v in values]
     return tuple(zip(row.cols, values)), values[-1]

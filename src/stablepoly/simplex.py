@@ -12,10 +12,10 @@ its denominators, while its slack and artificial keep the coefficient
 of their columns, which changes no sign of a reduced cost and no order
 of a ratio test. Phase one weighs each artificial by 1/scale, so its
 objective is still the sum of the artificials; the objective is scaled
-once by the lcm of its denominators. A row given with ``int`` terms and
-right-hand side is its own integer form, at scale 1, and no
-``Fraction`` is built for it; ``ConstraintSystem.optimize`` passes every
-integral row that way.
+once by the lcm of its denominators. An ``int`` is a rational of
+denominator 1, so a row given with ``int`` terms and right-hand side,
+as every row of ``build_system`` is, has scale 1 and no ``Fraction`` is
+built for it.
 
 Each row, and the cost row, has its own positive denominator: the
 rational row is ``row / den``. Bareiss's scheme keeps one common
@@ -62,7 +62,7 @@ from .linalg import scale_to_integers
 
 ZERO = Fraction(0)
 
-Constraint = tuple[Sequence[tuple[int, Fraction | int]], str, Fraction | int]
+Constraint = tuple[Sequence[tuple[int, int | Fraction]], str, int | Fraction]
 
 
 @dataclass(frozen=True)
@@ -151,8 +151,8 @@ def solve_lp(
 
     Constraints are (sparse terms, relation, rhs) with relation one of
     "<=", ">=", "="; every variable is additionally held nonnegative.
-    Coefficients and right-hand sides may be ``int`` or ``Fraction``; a
-    row that is all ``int`` skips the ``Fraction`` row building.
+    Coefficients and right-hand sides may be ``int`` or ``Fraction``,
+    mixed freely within a row; a ``float`` raises ``AttributeError``.
     """
     if sense not in ("max", "min"):
         raise ValueError(f"unknown sense {sense!r}")
@@ -167,18 +167,16 @@ def solve_lp(
     for terms, relation, rhs in constraints:
         if relation not in ("<=", ">=", "="):
             raise ValueError(f"unknown relation {relation!r}")
-        # an all-int row is its own integer form, at scale 1
-        integral = isinstance(rhs, int) and all(isinstance(c, int) for _, c in terms)
-        dense = [0] * num_vars if integral else [ZERO] * num_vars
+        dense = [0] * num_vars
         for col, coeff in terms:
             if not 0 <= col < num_vars:
                 raise ValueError(f"column {col} out of range")
-            dense[col] += coeff if integral else Fraction(coeff)
-        dense.append(rhs if integral else Fraction(rhs))
+            dense[col] += coeff
+        dense.append(rhs)
         if dense[-1] < 0:
             dense = [-x for x in dense]
             relation = {"<=": ">=", ">=": "<=", "=": "="}[relation]
-        row, scale = (dense, 1) if integral else scale_to_integers(dense)
+        row, scale = scale_to_integers(dense)
         rows.append(row)
         scales.append(scale)
         relations.append(relation)

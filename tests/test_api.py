@@ -71,6 +71,8 @@ def test_removed_names_stay_removed():
         for name in ("Witness", "removed_edge_witness", "remove_edge"):
             assert not hasattr(mod, name), f"{module}.{name}"
     assert not hasattr(stablepoly.Edge, "other")
+    assert not hasattr(stablepoly.Instance, "neighbors")
+    assert not hasattr(stablepoly.Instance, "better_edges")
 
 
 def test_record_fields_are_pinned():

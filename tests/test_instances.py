@@ -50,11 +50,6 @@ def test_edges_require_mutual_listing():
     assert validate(inst)
 
 
-def test_neighbors_in_preference_order(opposed2):
-    b = NodeId(SIDE_B, 0)
-    assert opposed2.neighbors(b) == (NodeId(SIDE_A, 1), NodeId(SIDE_A, 0))
-
-
 def test_prefers_compares_ranks(opposed2):
     a1, a2 = NodeId(SIDE_A, 0), NodeId(SIDE_A, 1)
     b1, b2 = NodeId(SIDE_B, 0), NodeId(SIDE_B, 1)
@@ -82,14 +77,11 @@ def test_cover_sets_match_oracle():
         assert covers == cover_pairs(inst)
 
 
-def test_rank_and_better_edges(opposed2):
+def test_rank(opposed2):
     a1 = NodeId(SIDE_A, 0)
     b1, b2 = NodeId(SIDE_B, 0), NodeId(SIDE_B, 1)
     assert opposed2.rank(a1, b1) == 0
     assert opposed2.rank(a1, b2) == 1
-    # strictly better only: the cutoff itself is excluded
-    assert opposed2.better_edges(at=a1, than=b2) == frozenset({Edge(0, 0)})
-    assert opposed2.better_edges(at=a1, than=b1) == frozenset()
     # a1 lists b1 one-sidedly and keeps its position; a2 lists index 5
     lopsided = Instance(2, 2, ((1, 0), (5,)), ((), (0,)))
     assert lopsided.rank(a1, b1) == 1

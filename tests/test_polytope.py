@@ -76,6 +76,17 @@ def test_build_system_shape(opposed2):
     assert len(system.rows) == 12
 
 
+def test_build_system_rows_are_ints(opposed2):
+    # Rothblum's rows are 0/1, so build_system writes them as ints; the
+    # simplex and vertex enumeration then build no Fraction for a row
+    complete5 = next(random_instances(5, 5, 1.0, seed=55))
+    for inst in (opposed2, complete5):
+        system = build_system(inst)
+        assert len(system.columns) == inst.a_count * inst.b_count
+        for row in system.rows:
+            assert all(type(x) is int for x in (*row.coeffs, row.rhs)), row
+
+
 def test_build_system_skips_isolated_nodes():
     inst = Instance(2, 2, ((0,), ()), ((0,), ()))
     system = build_system(inst)
@@ -454,7 +465,7 @@ def test_optimize_matches_vertex_scan(opposed2):
 
 def test_optimize_rejects_bad_objective(opposed2):
     system = build_system(opposed2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="objective length"):
         system.optimize([ONE])
 
 
@@ -479,6 +490,21 @@ def test_system_json_shape(opposed2):
         set(r) == {"terms", "relation", "rhs", "kind", "subject"}
         for r in doc["rows"]
     )
+    # each entry of a 0/1 row prints as a bare integer
+    assert [(r["terms"], r["rhs"]) for r in doc["rows"]] == [
+        ({"a1 b1": "1", "a1 b2": "1"}, "1"),
+        ({"a2 b1": "1", "a2 b2": "1"}, "1"),
+        ({"a1 b1": "1", "a2 b1": "1"}, "1"),
+        ({"a1 b2": "1", "a2 b2": "1"}, "1"),
+        ({"a1 b1": "1"}, "0"),
+        ({"a1 b2": "1"}, "0"),
+        ({"a2 b1": "1"}, "0"),
+        ({"a2 b2": "1"}, "0"),
+        ({"a1 b1": "1", "a2 b1": "1"}, "1"),
+        ({"a1 b1": "1", "a1 b2": "1"}, "1"),
+        ({"a2 b1": "1", "a2 b2": "1"}, "1"),
+        ({"a1 b2": "1", "a2 b2": "1"}, "1"),
+    ]
 
 
 def test_report_json_shape(opposed2):

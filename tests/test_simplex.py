@@ -255,9 +255,9 @@ def test_mixed_denominator_rows():
 
 
 def test_int_and_fraction_coefficients_agree(pivots):
-    # the first row is all int, so solve_lp takes it as its own integer
-    # form; the mixed second row and the all-Fraction copy go through
-    # Fractions, and all of them take the same pivots
+    # an int is a rational of denominator 1: the all-int first row, the
+    # mixed second row and the all-Fraction copy are scaled alike and
+    # take the same pivots
     rows = [([(0, 1), (1, 2)], "<=", 4), ([(0, F(3)), (1, 1)], "<=", F(6))]
     as_ints = solve_lp(2, rows, [1, 1])
     int_pivots = list(pivots)
@@ -409,6 +409,10 @@ def test_edge_cases_match_fraction_tableau(pivots):
     rows = [([(0, F(1)), (1, F(1))], ">=", F(1)), ([(0, F(1))], "<=", F(2))]
     with pytest.raises(ValueError, match="objective length"):
         solve_lp(2, rows, [F(1)])
+    # a float is not a rational the solver takes: it has no denominator
+    for floats in ([([(0, 0.5)], "<=", F(2))], [([(0, F(1))], "<=", 2.0)]):
+        with pytest.raises(AttributeError, match="denominator"):
+            solve_lp(2, floats, [F(1), F(0)])
     assert pivots == []
     # unbounded along y, optimal at x = 2, then optimal on the line x + y = 1
     results = [
