@@ -26,7 +26,6 @@ from .lattice import (
     decompose,
     enumerate_stable,
     meet_join,
-    swap,
 )
 from .matchings import Matching, blocking_pairs, gale_shapley, is_stable, matchings_iter
 from .polytope import (
@@ -81,7 +80,6 @@ __all__ = [
     "random_instance",
     "random_instances",
     "solve_lp",
-    "swap",
     "validate",
     "verify_instance",
 ]

@@ -2,7 +2,8 @@
 
 Two routes of different strength, kept deliberately separate:
 
-* a necessary test: every difference component must lean the same way;
+* a necessary test: a-side comparability, every a-node that changes
+  partner preferring the same matching;
 * the exact test: the segment midpoint admits no convex combination of
   stable matchings other than the trivial half-half one.
 
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .instances import Instance
-from .lattice import MAX_STABLE_EDGES, enumerate_stable, split_difference
+from .lattice import MAX_STABLE_EDGES, enumerate_stable, partner_maps
 from .matchings import Matching
 
 ZERO = Fraction(0)
@@ -76,11 +77,11 @@ def _exact_adjacency(
 class AdjacencyVerdict:
     """Both routes on one pair, with their agreement enforced.
 
-    ``adjacent`` is the exact midpoint verdict and ``uniform`` the
-    orientation test; an adjacent pair with mixed leanings would mean one
-    of them is wrong. ``alternative`` is a decomposition of the midpoint
-    that gives weight to some rival matching, present exactly when the
-    pair is not adjacent and at least one rival can take weight.
+    ``adjacent`` is the exact midpoint verdict and ``uniform`` the a-side
+    comparability test; an adjacent pair whose a-nodes lean both ways
+    would mean one of them is wrong. ``alternative`` is a decomposition of
+    the midpoint that gives weight to some rival matching, present exactly
+    when the pair is not adjacent and at least one rival can take weight.
     """
 
     adjacent: bool
@@ -91,7 +92,7 @@ class AdjacencyVerdict:
     def __post_init__(self) -> None:
         if self.adjacent and not self.uniform:
             raise AssertionError(
-                "pair is adjacent yet its difference components disagree; "
+                "pair is adjacent yet its a-nodes lean both ways; "
                 "one of the two routes is wrong"
             )
 
@@ -116,14 +117,16 @@ def adjacency_verdict(
     more than ``max_edges`` edges raises ``LimitError``. The lattice comes
     from ``enumerate_stable``, which keeps the one of the most recent
     instance: checking every pair of one instance walks it once. Both
-    matchings are found in that lattice before their difference is
-    split, so no blocking pair is looked for again.
+    matchings are found in that lattice before their partners are
+    compared, so no blocking pair is looked for again.
     """
     adjacent, maxima, alternative = _exact_adjacency(instance, m1, m2, max_edges)
-    deco = split_difference(instance, m1, m2)
+    ab1, ab2 = partner_maps(m1, m2)
+    a_rank = instance.a_rank
+    leanings = {a_rank[a][ab1[a]] < a_rank[a][ab2[a]] for a in ab1 if ab1[a] != ab2[a]}
     return AdjacencyVerdict(
         adjacent=adjacent,
-        uniform=not (deco.flip_to_favour_a and deco.flip_to_favour_b),
+        uniform=len(leanings) < 2,
         maxima=tuple(maxima),
         alternative=alternative,
     )

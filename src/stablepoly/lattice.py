@@ -2,19 +2,19 @@
 
 ``enumerate_stable`` lists the elements by walking the lattice down from
 the a-optimal matching, one break-marriage step at a time; it never
-builds an unstable matching. Two stable matchings cover the same nodes,
-so their difference splits into node-disjoint alternating cycles, each a
-``Component`` with fields ``nodes``, ``edges`` and ``a_prefers``. Inside
-one cycle every a-side node favours the same input matching and every
-b-side node the other one; flipping all cycles with a given leaning
-produces the meet and join of the input pair.
+builds an unstable matching. ``meet_join`` chooses partners: every
+a-node takes the worse of its two in the meet and the better in the join.
+The difference of two stable matchings splits into node-disjoint
+alternating cycles; only ``decompose`` walks them, each a ``Component``
+with fields ``nodes``, ``edges`` and ``a_prefers``. Inside one cycle every
+a-side node favours the same input matching and every b-side node the
+other one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
 
 from .instances import SIDE_A, SIDE_B, Edge, Instance, LimitError, NodeId
 from .matchings import Matching, blocking_pairs, gale_shapley, proposal_lists
@@ -33,7 +33,7 @@ class UniformityError(RuntimeError):
 
 
 class SwapStabilityError(RuntimeError):
-    """A component swap that was guaranteed stable but is not."""
+    """A meet or join of two stable matchings that is blocked."""
 
     def __init__(self, message: str, certificate: dict):
         super().__init__(message)
@@ -66,16 +66,6 @@ class Decomposition:
     m2: Matching
     components: tuple[Component, ...]
 
-    @property
-    def flip_to_favour_b(self) -> tuple[int, ...]:
-        """Indices of components whose a-side prefers the first matching."""
-        return tuple(i for i, c in enumerate(self.components) if c.a_prefers == 1)
-
-    @property
-    def flip_to_favour_a(self) -> tuple[int, ...]:
-        """Indices of components whose a-side prefers the second matching."""
-        return tuple(i for i, c in enumerate(self.components) if c.a_prefers == 2)
-
 
 def _component_orientation(
     instance: Instance, m1: Matching, m2: Matching, nodes: list[NodeId], leanings: list[int]
@@ -107,6 +97,11 @@ def decompose(instance: Instance, m1: Matching, m2: Matching) -> Decomposition:
     Both inputs must be stable; the orientation claim does not survive
     unstable inputs and the caller is told so via ValueError.
     """
+    _require_stable(instance, m1, m2)
+    return split_difference(instance, m1, m2)
+
+
+def _require_stable(instance: Instance, m1: Matching, m2: Matching) -> None:
     for label, m in (("first", m1), ("second", m2)):
         bad = blocking_pairs(instance, m)
         if bad:
@@ -114,20 +109,26 @@ def decompose(instance: Instance, m1: Matching, m2: Matching) -> Decomposition:
                 f"{label} matching is not stable, blocked by "
                 f"{[instance.edge_name(e) for e in bad]}"
             )
-    return split_difference(instance, m1, m2)
+
+
+def partner_maps(m1: Matching, m2: Matching) -> tuple[dict[int, int], dict[int, int]]:
+    """The a→b partner maps of two stable matchings, which cover the same
+    nodes (Gale and Sotomayor 1985); inputs that do not raise
+    ``AssertionError``."""
+    ab1, ab2 = ({e.a: e.b for e in m.edges} for m in (m1, m2))
+    if ab1.keys() != ab2.keys() or set(ab1.values()) != set(ab2.values()):
+        raise AssertionError("two stable matchings cover different nodes")
+    return ab1, ab2
 
 
 def split_difference(instance: Instance, m1: Matching, m2: Matching) -> Decomposition:
     """The cycle walk of ``decompose``, for inputs already known to be
-    stable: it checks no blocking pair. Two stable matchings cover the
-    same nodes (Gale and Sotomayor 1985), so their difference is a union
-    of cycles; inputs that cover different nodes raise ``AssertionError``
-    and a mixed component raises ``UniformityError``.
+    stable: it checks no blocking pair. Their difference is a union of
+    cycles, since they cover the same nodes (``partner_maps``); a mixed
+    component raises ``UniformityError``.
     """
-    ab1, ab2 = ({e.a: e.b for e in m.edges} for m in (m1, m2))
+    ab1, ab2 = partner_maps(m1, m2)
     ba1, ba2 = ({b: a for a, b in ab.items()} for ab in (ab1, ab2))
-    if ab1.keys() != ab2.keys() or ba1.keys() != ba2.keys():
-        raise AssertionError("two stable matchings cover different nodes")
     a_rank, b_rank = instance.a_rank, instance.b_rank
     walked: set[int] = set()
     components: list[Component] = []
@@ -155,32 +156,26 @@ def split_difference(instance: Instance, m1: Matching, m2: Matching) -> Decompos
     return Decomposition(m1, m2, tuple(components))
 
 
-def swap(decomposition: Decomposition, component_indices: Iterable[int]) -> Matching:
-    """Replace the first matching's edges by the second's on the chosen
-    components. The result is always a matching; it is guaranteed stable
-    only for the two canonical index sets of the decomposition."""
-    chosen = list(component_indices)
-    if len(set(chosen)) != len(chosen):
-        raise ValueError("duplicate component index")
-    flipped: set[Edge] = set()
-    for index in chosen:
-        if not 0 <= index < len(decomposition.components):
-            raise ValueError(f"component index {index} out of range")
-        flipped ^= decomposition.components[index].edge_set
-    return Matching(decomposition.m1.edges ^ frozenset(flipped))
-
-
 def meet_join(instance: Instance, m1: Matching, m2: Matching) -> tuple[Matching, Matching]:
     """The b-favoured and a-favoured combinations of two stable matchings.
 
-    The meet gives every b-side node its preferred partner of the two and
-    every a-side node its less preferred one; the join is the reverse.
-    Both are stable, and edge by edge the pair (meet, join) uses exactly
-    the edges of (m1, m2) with the same multiplicity.
+    Each a-node takes the worse of its two partners in the meet and the
+    better in the join (Conway's lemma, Knuth 1976); ``Matching`` refuses
+    a b-node that two a-nodes pick. Both are stable, and edge by edge the
+    pair (meet, join) uses exactly the edges of (m1, m2) with the same
+    multiplicity. Both inputs must be stable (``ValueError`` otherwise).
     """
-    decomposition = decompose(instance, m1, m2)
-    meet = swap(decomposition, decomposition.flip_to_favour_b)
-    join = swap(decomposition, decomposition.flip_to_favour_a)
+    _require_stable(instance, m1, m2)
+    ab1, ab2 = partner_maps(m1, m2)
+    a_rank = instance.a_rank
+    worse, better = [], []
+    for a, b1 in ab1.items():
+        b2 = ab2[a]
+        if a_rank[a][b1] < a_rank[a][b2]:
+            b1, b2 = b2, b1
+        worse.append(Edge(a, b1))
+        better.append(Edge(a, b2))
+    meet, join = Matching(frozenset(worse)), Matching(frozenset(better))
     for label, m in (("meet", meet), ("join", join)):
         bad = blocking_pairs(instance, m)
         if bad:

@@ -35,8 +35,9 @@ class Matching:
     @classmethod
     def from_pairs(cls, instance: Instance, pairs: Iterable[Sequence[str]]) -> "Matching":
         """Build from name pairs, each a list or tuple of one a-side and one
-        b-side name; any other entry raises ``ValueError``."""
-        edges = []
+        b-side name; any other entry, or a pair given twice, raises
+        ``ValueError``."""
+        edges: set[Edge] = set()
         for names in pairs:
             if not (
                 isinstance(names, (list, tuple))
@@ -55,7 +56,9 @@ class Matching:
             edge = Edge(a.index, b.index)
             if edge not in instance.edges:
                 raise ValueError(f"pair {names!r} is not an edge of the instance")
-            edges.append(edge)
+            if edge in edges:
+                raise ValueError(f"pair {names!r} is repeated")
+            edges.add(edge)
         return cls(frozenset(edges))
 
     def partner(self, node: NodeId) -> NodeId | None:

@@ -430,6 +430,28 @@ def convex_decompose(instance, point, forbidden=()):
     return {m: w for m, w in zip(pool, result.point) if w != 0}
 
 
+# -- meet and join by component flips -----------------------------------
+
+
+def flip_meet_join(decomposition):
+    """The meet and join edge sets of a pair, from its difference cycles.
+
+    Takes the library's ``Decomposition``: flipping the first matching on
+    every component whose a-side prefers it (``a_prefers == 1``) gives
+    the meet, and on every component whose a-side prefers the second
+    (``a_prefers == 2``) the join.
+    """
+
+    def flip(side):
+        edges = decomposition.m1.edges
+        for comp in decomposition.components:
+            if comp.a_prefers == side:
+                edges = edges ^ comp.edge_set
+        return edges
+
+    return flip(1), flip(2)
+
+
 # -- adjacency reference route ------------------------------------------
 
 _POOLS = {}

@@ -42,7 +42,6 @@ PUBLIC = [
     "random_instance",
     "random_instances",
     "solve_lp",
-    "swap",
     "validate",
     "verify_instance",
 ]
@@ -73,6 +72,9 @@ def test_removed_names_stay_removed():
     assert not hasattr(stablepoly.Edge, "other")
     assert not hasattr(stablepoly.Instance, "neighbors")
     assert not hasattr(stablepoly.Instance, "better_edges")
+    assert not hasattr(stablepoly.lattice, "swap")
+    assert not hasattr(stablepoly.Decomposition, "flip_to_favour_a")
+    assert not hasattr(stablepoly.Decomposition, "flip_to_favour_b")
 
 
 def test_record_fields_are_pinned():

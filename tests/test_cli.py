@@ -73,8 +73,15 @@ def test_check_exit_codes(capsys, tmp_path, inst_file):
 
 @pytest.mark.parametrize(
     "pairs",
-    [[["a1", "zz"]], [5], [["a1", "b1", "b2"]], ["ab"], [{"a1": 1, "b1": 2}]],
-    ids=["unknown", "scalar", "triple", "string", "object"],
+    [
+        [["a1", "zz"]],
+        [5],
+        [["a1", "b1", "b2"]],
+        ["ab"],
+        [{"a1": 1, "b1": 2}],
+        [["a1", "b1"], ["a1", "b1"], ["a2", "b2"]],
+    ],
+    ids=["unknown", "scalar", "triple", "string", "object", "repeated"],
 )
 def test_bad_matching_file_is_input_error(capsys, tmp_path, inst_file, pairs):
     # exit 1 means "unstable"; a malformed matching is unusable input

@@ -15,12 +15,11 @@ from stablepoly.lattice import (
     enumerate_stable,
     meet_join,
     split_difference,
-    swap,
 )
 from stablepoly.matchings import Matching, is_stable
 
-from corpora import blocks, complete3, draw, latin
-from oracles import filter_stable, is_stable_pairs, stable_sets
+from corpora import blocks, complete3, draw, golden_instances, latin
+from oracles import filter_stable, flip_meet_join, is_stable_pairs, stable_sets
 
 
 def as_pairs(stable):
@@ -56,8 +55,6 @@ def test_decompose_single_cycle(opposed2):
     assert comp.a_prefers == 1
     assert comp.edge_set == best_for_a.edges | best_for_b.edges
     assert len(comp.edges) == 4
-    assert deco.flip_to_favour_b == (0,)
-    assert deco.flip_to_favour_a == ()
 
 
 def test_decompose_requires_stable(opposed2):
@@ -86,8 +83,6 @@ def test_decompose_opposed_blocks(opposed4):
     for comp in deco.components:
         assert_closed_walk(comp)
     assert [c.a_prefers for c in deco.components] == [1, 2]
-    assert deco.flip_to_favour_b == (0,)
-    assert deco.flip_to_favour_a == (1,)
 
 
 def test_decompose_is_deterministic(opposed4):
@@ -134,27 +129,10 @@ def test_split_difference_needs_equal_cover():
     two = Matching.from_edges([Edge(0, 0), Edge(1, 1)])
     with pytest.raises(AssertionError, match="cover different nodes"):
         split_difference(inst, one, two)
-
-
-def test_swap_roundtrip(opposed2):
-    m1, m2 = pair_of(opposed2)
-    deco = decompose(opposed2, m1, m2)
-    assert swap(deco, []) == m1
-    assert swap(deco, [0]) == m2
-    with pytest.raises(ValueError):
-        swap(deco, [1])
-    with pytest.raises(ValueError):
-        swap(deco, [0, 0])
-
-
-def test_swap_mixes_components(opposed4):
-    m1 = Matching.from_edges([Edge(0, 0), Edge(1, 1), Edge(2, 3), Edge(3, 2)])
-    m2 = Matching.from_edges([Edge(0, 1), Edge(1, 0), Edge(2, 2), Edge(3, 3)])
-    deco = decompose(opposed4, m1, m2)
-    flipped = swap(deco, [0])
-    assert flipped.edges == {Edge(0, 1), Edge(1, 0), Edge(2, 3), Edge(3, 2)}
-    both = swap(deco, [0, 1])
-    assert both == m2
+    # the same a-node, matched to different b-nodes
+    other_b = Matching.from_edges([Edge(0, 1)])
+    with pytest.raises(AssertionError, match="cover different nodes"):
+        split_difference(inst, one, other_b)
 
 
 def test_meet_join_golden(opposed4):
@@ -169,8 +147,39 @@ def test_meet_join_golden(opposed4):
 def test_meet_join_of_comparable_pair(opposed2):
     m1, m2 = pair_of(opposed2)
     meet, join = meet_join(opposed2, m1, m2)
-    # one component, so the swap lands back on the pair itself
+    # every a-node leans the same way, so meet and join are the pair itself
     assert {meet, join} == {m1, m2}
+
+
+def test_meet_join_requires_stable(opposed2):
+    unstable = Matching.from_edges([Edge(0, 0)])
+    stable = Matching.from_edges([Edge(0, 0), Edge(1, 1)])
+    with pytest.raises(ValueError, match="not stable"):
+        meet_join(opposed2, unstable, stable)
+    with pytest.raises(ValueError, match="not stable"):
+        meet_join(opposed2, stable, unstable)
+    assert meet_join(opposed2, stable, stable) == (stable, stable)
+
+
+def test_meet_join_matches_component_flips():
+    """Partner choice against flipping the difference cycles, and the
+    comparability flag against the components' leanings, on every stable
+    pair of the rich lattices and of a fixed-seed 4x4 sample."""
+    rng = random.Random(410)
+    sample = [draw(rng, 4, 4, 1.0, 0.0) for _ in range(200)]
+    pairs = mixed = 0
+    for inst in [inst for _, inst in golden_instances()] + sample:
+        limit = len(inst.edges)
+        for m1, m2 in itertools.combinations(enumerate_stable(inst, max_edges=limit), 2):
+            meet, join = meet_join(inst, m1, m2)
+            deco = decompose(inst, m1, m2)
+            assert (meet.edges, join.edges) == flip_meet_join(deco)
+            leanings = {c.a_prefers for c in deco.components}
+            uniform = adjacency_verdict(inst, m1, m2, max_edges=limit).uniform
+            assert uniform == (len(leanings) < 2)
+            pairs += 1
+            mixed += not uniform
+    assert (pairs, mixed) == (304, 12)
 
 
 def test_meet_join_midpoint_identity():

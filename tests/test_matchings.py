@@ -56,6 +56,11 @@ def test_from_pairs_validates(opposed2):
         Matching.from_pairs(opposed2, [["a1", "a2"]])
     with pytest.raises(ValueError, match="unknown node"):
         Matching.from_pairs(opposed2, [["a1", "b9"]])
+    # the same edge twice, in either order, is not merged into one
+    for second in (["a1", "b1"], ["b1", "a1"]):
+        with pytest.raises(ValueError, match="is repeated") as info:
+            Matching.from_pairs(opposed2, [["a1", "b1"], second, ["a2", "b2"]])
+        assert repr(second) in str(info.value)
     # a string or an object is not read as the sequence of its letters or keys
     for entry in (5, "ab", {"a1": 1, "b1": 2}, ["a1", 5], ("a1",)):
         with pytest.raises(ValueError, match="not a pair"):
