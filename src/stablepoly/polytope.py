@@ -24,6 +24,8 @@ ONE = Fraction(1)
 Point = tuple[Fraction, ...]
 # a point as (integer numerators, positive denominator, tight-row mask)
 _Homogeneous = tuple[tuple[int, ...], int, int]
+# a point as above with its slack on the row being inserted
+_Slacked = tuple[tuple[int, ...], int, int, int]
 # a row as (((column, integer coefficient), ...), integer rhs) of a <= row
 _IntegerRow = tuple[tuple[tuple[int, int], ...], int]
 
@@ -59,7 +61,7 @@ class Row:
         )
 
     def dense(self, width: int) -> list[int | Fraction]:
-        out = [ZERO] * width
+        out: list[int | Fraction] = [0] * width
         for c, w in zip(self.cols, self.coeffs):
             out[c] = w
         return out
@@ -308,9 +310,12 @@ def _points_by_incidence(system: ConstraintSystem) -> list[tuple[Point, tuple[in
     rows. A cut keeps the satisfied vertices and adds one new vertex per
     polytope edge that crosses the cut; the crossing edges are recognised
     combinatorially, two vertices being adjacent exactly when no third
-    one is tight on everything they are both tight on. A row that cuts
-    nothing off, and every row of a zero-width system, is the same update
-    with no vertex outside.
+    one is tight on everything they are both tight on. One pass over the
+    vertices computes each slack and sorts the vertex as inside, tight or
+    outside; an inside or outside vertex carries its slack into the pair
+    loop. A row that cuts nothing off, and every row of a zero-width
+    system, only marks the vertices it is tight at: the kept vertices
+    become the new list and no pair is tested.
 
     Rows go in by their largest column index, ties in system order. The
     columns of ``build_system`` are sorted by (a, b), so the rows enter
@@ -331,14 +336,23 @@ def _points_by_incidence(system: ConstraintSystem) -> list[tuple[Point, tuple[in
     positive factor, so its sign is exact. The vertex born on the edge
     from ``u`` (slack ``s_u > 0``) to ``w`` (slack ``s_w < 0``) is
     ``s_u * w - s_w * u``, which has slack zero and a positive
-    denominator. ``Fraction``s are built only for the final points.
+    denominator. ``Fraction``s are built only for the final points, and a
+    coordinate of 0 or 1 there is the shared ``ZERO`` or ``ONE``.
 
     Before the third-vertex scan a pair is dropped when it shares fewer
     than ``width - 1`` tight rows. That is sound: the rows tight on an
     edge of the current polytope cut out its affine hull, a line, so at
     least ``width - 1`` of them are independent, and the endpoints of an
     edge are tight on all of them. The scan would reject such a pair
-    anyway; the count only spares it.
+    anyway; the count only spares it. A pair that passes can still span
+    a larger face when rows repeat or the face is degenerate (the unit
+    cube with ``z <= 1`` given twice: its opposite top corners share the
+    two copies), so the scan stays. It counts the vertices whose mask
+    contains the shared rows and stops at the third; ``u`` and ``w``
+    always count, so the pair is adjacent when the count ends at two.
+    On the cyclic Latin 4x4 system (16 columns) 17211 pairs pass the
+    prefilter and 695 are adjacent; the scan reads 1.14 million masks
+    and still takes most of the insertion's time.
 
     The masks stay exact, so the tight rows of each vertex are read off
     its final mask. The seed masks are exact on the sign rows, and a kept
@@ -375,39 +389,44 @@ def _points_by_incidence(system: ConstraintSystem) -> list[tuple[Point, tuple[in
     )
     for i in pending:
         terms, rhs = scaled[i]
-        slacks = [rhs * d - sum(a * n[c] for c, a in terms) for n, d, _ in verts]
+        bit = 1 << i
         keep: list[_Homogeneous] = []
-        inside: list[int] = []
-        outside: list[int] = []
-        for k, ((n, d, m), s) in enumerate(zip(verts, slacks)):
+        inside: list[_Slacked] = []
+        outside: list[_Slacked] = []
+        for v in verts:
+            n, d, m = v
+            s = rhs * d - sum([a * n[c] for c, a in terms])
             if s > 0:
-                inside.append(k)
-                keep.append((n, d, m))
+                keep.append(v)
+                inside.append((n, d, m, s))
             elif s == 0:
-                keep.append((n, d, m | (1 << i)))
+                keep.append((n, d, m | bit))
             else:
-                outside.append(k)
+                outside.append((n, d, m, s))
+        if not outside:
+            verts = keep
+            continue
+        masks = [m for _, _, m in verts]
         born: list[_Homogeneous] = []
-        for u in inside:
-            nu, du, mu = verts[u]
-            su = slacks[u]
-            for w in outside:
-                nw, dw, mw = verts[w]
+        for nu, du, mu, su in inside:
+            for nw, dw, mw, sw in outside:
                 shared = mu & mw
                 if shared.bit_count() < width - 1:
                     continue
-                adjacent = True
-                for z, (_, _, mz) in enumerate(verts):
-                    if z != u and z != w and shared & ~mz == 0:
-                        adjacent = False
-                        break
-                if not adjacent:
+                # u and w always count; a third vertex tight on all of
+                # ``shared`` means the pair spans no edge
+                count = 0
+                for mz in masks:
+                    if mz & shared == shared:
+                        count += 1
+                        if count == 3:
+                            break
+                if count == 3:
                     continue
-                sw = slacks[w]
                 num = [su * b - sw * a for a, b in zip(nu, nw)]
                 den = su * dw - sw * du
                 g = math.gcd(den, *num)
-                born.append((tuple(x // g for x in num), den // g, shared | (1 << i)))
+                born.append((tuple([x // g for x in num]), den // g, shared | bit))
         # An empty list here means the region itself is empty; that is a
         # legal outcome for a general system and simply yields no vertices.
         verts = keep + born
@@ -418,5 +437,6 @@ def _points_by_incidence(system: ConstraintSystem) -> list[tuple[Point, tuple[in
                 "bounding facet still tight after all rows were inserted"
             )
         tight = tuple(i for i in range(synthetic) if m >> i & 1)
-        points.append((tuple(Fraction(x, d) for x in n), tight))
+        point = tuple(ZERO if x == 0 else ONE if x == d else Fraction(x, d) for x in n)
+        points.append((point, tight))
     return points

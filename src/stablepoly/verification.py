@@ -46,19 +46,30 @@ class VerificationResult:
 def verify_instance(instance: Instance, max_edges: int = MAX_VERTEX_COLUMNS) -> VerificationResult:
     """Enumerate both sides exactly and report any disagreement.
 
+    The two sides meet as column sets: the support of each integral
+    vertex against the sorted columns of each stable matching. Points
+    are needed only for the disagreements, which are listed in the order
+    of their points.
+
     ``max_edges`` is the one size limit: an instance with more edges
     raises ``LimitError`` before either side is enumerated.
     """
     system = build_system(instance)
     report = system.enumerate_vertices(max_edges=max_edges)
     stable = tuple(enumerate_stable(instance, max_edges=max_edges))
-    vertex_points = {v.point for v in report.vertices if v.integral}
-    stable_points = {system.incidence_vector(m): m for m in stable}
+    col_of = {e: j for j, e in enumerate(system.columns)}
+    vertex_sets = {v.support(): v.point for v in report.vertices if v.integral}
+    stable_sets = {tuple(sorted(col_of[e] for e in m.edges)): m for m in stable}
     fractional = tuple(v.point for v in report.vertices if not v.integral)
     missing = tuple(
-        m for p, m in sorted(stable_points.items()) if p not in vertex_points
+        sorted(
+            (m for cols, m in stable_sets.items() if cols not in vertex_sets),
+            key=system.incidence_vector,
+        )
     )
-    extra = tuple(sorted(p for p in vertex_points if p not in stable_points))
+    extra = tuple(
+        sorted(p for cols, p in vertex_sets.items() if cols not in stable_sets)
+    )
     return VerificationResult(
         instance=instance,
         report=report,
