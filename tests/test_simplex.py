@@ -217,7 +217,7 @@ def test_pivot_leaves_rows_with_zero_in_pivot_column():
                 if r != row and a[col] and dens[r] != p
                 and any(x and not b for x, b in zip(a, pivot_row))
             )
-            d = simplex._pivot(tableau, dens, row, col, d)
+            d = simplex._pivot(tableau, dens, row, col, d, {})
             assert d > 0 and all(den > 0 for den in dens)
             assert [[F(x, den) for x in r] for r, den in zip(tableau, dens)] == rational
             for r, (kept_row, kept_den) in kept.items():
@@ -309,9 +309,10 @@ def _random_lp(rng):
 
 
 class _PivotLog(list):
-    """Pivots as (row, column, element > 0). ``branches`` counts, over
-    every solve since the fixture was made, the pivots that met each
-    per-row-denominator path."""
+    """Pivots as (row, entering variable, element > 0). ``branches``
+    counts, over every solve since the fixture was made, the pivots that
+    met each per-row-denominator path, and those that read an artificial
+    off its surplus."""
 
     def __init__(self):
         super().__init__()
@@ -320,21 +321,31 @@ class _PivotLog(list):
 
 @pytest.fixture
 def pivots(monkeypatch):
-    """Every pivot solve_lp takes, as (row, column, element > 0)."""
+    """Every pivot solve_lp takes, as (row, entering variable, element > 0).
+
+    An artificial is logged by its own label, the column the Fraction
+    tableau stores it in, not by the column it is read off.
+    """
     taken = _PivotLog()
     real = simplex._pivot
 
-    def record(tableau, dens, row, col, d):
+    def record(tableau, dens, row, enter, d, artificials):
         assert d > 0
         # every row's denominator, the cost row's (last while a phase runs) too
         assert len(dens) == len(tableau) and all(den > 0 for den in dens)
-        taken.append((row, col, tableau[row][col] > 0))
+        # the entering variable, an artificial by its own label, and the
+        # sign of its element, read off its column as _pivot reads it
+        col, sign, _ = artificials.get(enter, (enter, 1, 0))
+        element = sign * tableau[row][col]
+        taken.append((row, enter, element > 0))
         if dens[row] != d:
             taken.branches["stale pivot row"] += 1
-        p = abs(tableau[row][col] * d // dens[row])
+        if sign < 0:
+            taken.branches["artificial read off its surplus"] += 1
+        p = abs(element * d // dens[row])
         if any(r != row and a[col] and dens[r] != p for r, a in enumerate(tableau)):
             taken.branches["elimination with p != den"] += 1
-        return real(tableau, dens, row, col, d)
+        return real(tableau, dens, row, enter, d, artificials)
 
     monkeypatch.setattr(simplex, "_pivot", record)
     return taken
@@ -357,6 +368,18 @@ def _assert_same(num_vars, constraints, objective, sense, pivots):
     return got, log
 
 
+def _reentries(num_vars, constraints, log):
+    """The relation of the row of each artificial that enters the basis
+    in a simplex step of the oracle's ``log``, as the row stands after a
+    negative right-hand side is flipped. Every artificial starts basic,
+    and phase two never enters one, so each is a phase-one re-entry."""
+    flip = {"<=": ">=", ">=": "<=", "=": "="}
+    relations = [flip[rel] if rhs < 0 else rel for _, rel, rhs in constraints]
+    art_start = num_vars + sum(1 for rel in relations if rel != "=")
+    owners = [rel for rel in relations if rel != "<="]
+    return [owners[c - art_start] for kind, _, c, _ in log if kind == "step" and c >= art_start]
+
+
 def test_random_lps_match_fraction_tableau(pivots):
     rng = random.Random(606)
     statuses = Counter()
@@ -370,9 +393,12 @@ def test_random_lps_match_fraction_tableau(pivots):
         events["negative cleanup"] += sum(
             1 for kind, _, _, element in log if kind == "cleanup" and element < 0
         )
+        events.update(f"{rel} re-entry" for rel in _reentries(n, rows, log))
         relations.update((rel, rhs < 0) for _, rel, rhs in rows)
     assert set(statuses) == {"optimal", "infeasible", "unbounded"}
     assert events["negative cleanup"] and events["drop"]
+    # an = row's artificial, stored in its own column, enters again
+    assert events["= re-entry"] >= 1
     assert set(relations) == {(rel, neg) for rel in ("<=", ">=", "=") for neg in (False, True)}
 
 
@@ -457,6 +483,24 @@ def test_optimize_lps_match_fraction_tableau(monkeypatch, pivots):
     for args in calls:
         result, _ = _assert_same(*args, pivots)
         assert result.status == "optimal"
+
+
+def test_stability_artificial_reenters_in_phase_one(monkeypatch, pivots):
+    # the 11th of a fresh stream of complete 3x3 draws: in phase one the
+    # artificial of a stability (>=) row leaves the basis and enters it
+    # again. solve_lp stores no column for it and reads it off the row's
+    # surplus, and must still take the Fraction tableau's every pivot.
+    rng = random.Random(607)
+    instance = [random_instance(3, 3, 1.0, rng) for _ in range(11)][10]
+    system = build_system(instance)
+    calls = _recorded_calls(
+        monkeypatch, polytope, lambda: system.optimize([F(1)] * len(system.columns))
+    )
+    (args,) = calls
+    result, log = _assert_same(*args, pivots)
+    assert result.status == "optimal"
+    assert _reentries(args[0], args[1], log) == [">="]
+    assert pivots.branches["artificial read off its surplus"]
 
 
 def test_optimize_fraction_row_matches_fraction_tableau(monkeypatch, pivots):
