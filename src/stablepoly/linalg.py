@@ -1,9 +1,11 @@
 """Exact linear algebra over rationals, carried out on integers.
 
 A rational vector is scaled once to integers by the lcm of its
-denominators (``scale_to_integers``); the simplex, vertex enumeration
-and the basis pick below all start from it. Elimination then runs on
-integers: linear independence does not depend on a positive scale, so
+denominators (``scale_to_integers``); the simplex starts from it. The
+basis pick (``greedy_independent``) takes rows that are integer already,
+sparse ``(column, entry)`` terms as ``polytope._integer_row`` writes
+them, and eliminates on those terms without fractions (Edmonds 1967).
+Linear independence does not depend on a nonzero scale of each row, so
 the indices picked are the rational ones.
 """
 
@@ -11,7 +13,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 
 def scale_to_integers(values: Sequence[int | Fraction]) -> tuple[list[int], int]:
@@ -27,32 +29,46 @@ def scale_to_integers(values: Sequence[int | Fraction]) -> tuple[list[int], int]
     return [x.numerator * (scale // x.denominator) for x in values], scale
 
 
-def _reduce(vector: list[int], basis: list[tuple[int, list[int]]]) -> list[int]:
-    for pivot_col, pivot_vec in basis:
-        factor = vector[pivot_col]
-        if factor:
-            head = pivot_vec[pivot_col]
-            vector = [head * a - factor * b for a, b in zip(vector, pivot_vec)]
-    return vector
+def greedy_independent(
+    rows: Sequence[Iterable[tuple[int, int]]], need: int
+) -> list[int] | None:
+    """First indices, in order, of ``need`` linearly independent rows.
 
-
-def greedy_independent(vectors: Sequence[Sequence[Fraction]], need: int) -> list[int] | None:
-    """First indices, in order, of ``need`` linearly independent vectors.
-
-    None when the family has smaller rank than requested.
+    Each row is a sparse integer vector given by its ``(column, entry)``
+    terms, the form of ``polytope._integer_row``; a column that is left
+    out, or listed with entry 0, is zero there. None when the family has
+    smaller rank than requested.
     """
     if need == 0:
         return []
-    basis: list[tuple[int, list[int]]] = []
+    # echelon rows as (pivot column, pivot entry, nonzero entries); each
+    # is zero at the pivot column of every row before it
+    basis: list[tuple[int, int, dict[int, int]]] = []
     chosen: list[int] = []
-    for idx, raw in enumerate(vectors):
-        vec = _reduce(scale_to_integers(raw)[0], basis)
-        pivot = next((k for k, x in enumerate(vec) if x != 0), None)
-        if pivot is None:
+    for idx, terms in enumerate(rows):
+        # an explicit zero term must not become a pivot
+        vec = {c: a for c, a in terms if a}
+        for col, head, pivot_vec in basis:
+            factor = vec.get(col)
+            if factor:
+                g = math.gcd(head, factor)
+                scale, factor = head // g, factor // g
+                if scale != 1:
+                    vec = {c: scale * a for c, a in vec.items()}
+                for c, b in pivot_vec.items():
+                    x = vec.get(c, 0) - factor * b
+                    if x:
+                        vec[c] = x
+                    else:
+                        del vec[c]
+        if not vec:
             continue
         # dividing out the content keeps entries from growing with the basis
-        content = math.gcd(*vec)
-        basis.append((pivot, [x // content for x in vec]))
+        content = math.gcd(*vec.values())
+        if content != 1:
+            vec = {c: a // content for c, a in vec.items()}
+        col = next(iter(vec))
+        basis.append((col, vec[col], vec))
         chosen.append(idx)
         if len(chosen) == need:
             return chosen

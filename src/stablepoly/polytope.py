@@ -9,6 +9,7 @@ queries, optima and vertices are computed in exact rational arithmetic.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -59,12 +60,6 @@ class Row:
             and self.rhs == 0
             and self.relation == ">="
         )
-
-    def dense(self, width: int) -> list[int | Fraction]:
-        out: list[int | Fraction] = [0] * width
-        for c, w in zip(self.cols, self.coeffs):
-            out[c] = w
-        return out
 
 
 @dataclass(frozen=True)
@@ -157,10 +152,12 @@ class ConstraintSystem:
     def enumerate_vertices(self, max_edges: int = MAX_VERTEX_COLUMNS) -> VertexReport:
         """All extreme points, exact, with a tight-row basis per vertex.
 
-        The halfspaces are inserted one by one while the tight sets are
+        Each row is written once in integer form (``_integer_row``). The
+        halfspaces are inserted one by one while the tight sets are
         tracked (``_points_by_incidence``); each vertex's certificate is
-        read off the tight set the insertion ends with. Systems wider than
-        ``max_edges`` columns are refused (``LimitError``). What grows
+        picked from the tight set the insertion ends with, on the same
+        integer rows (``_describe``). Systems wider than ``max_edges``
+        columns are refused (``LimitError``). What grows
         with dimension is the insertion's intermediate polytopes, not the
         final vertex count: the cyclic Latin 5x5 system (25 columns) has
         five vertices and passes through thousands of intermediate ones.
@@ -169,13 +166,22 @@ class ConstraintSystem:
             raise LimitError(
                 f"system has {len(self.columns)} columns, limit is {max_edges}"
             )
-        points = _points_by_incidence(self)
-        vertices = tuple(self._describe(p, tight) for p, tight in sorted(points))
+        scaled = [_integer_row(row) for row in self.rows]
+        points = _points_by_incidence(self, scaled)
+        vertices = tuple(self._describe(p, tight, scaled) for p, tight in sorted(points))
         return VertexReport(self.columns, self.column_names, vertices)
 
-    def _describe(self, point: Point, tight: tuple[int, ...]) -> Vertex:
-        width = len(self.columns)
-        basis_pick = greedy_independent([self.rows[i].dense(width) for i in tight], width)
+    def _describe(
+        self, point: Point, tight: tuple[int, ...], scaled: Sequence[_IntegerRow]
+    ) -> Vertex:
+        """The vertex at ``point`` with its certificate.
+
+        The basis is the first independent rows of ``tight``, in index
+        order, picked on the rows' integer terms (``scaled``, from
+        ``_integer_row``); a ``>=`` row is negated there, which leaves its
+        independence as it is.
+        """
+        basis_pick = greedy_independent([scaled[i][0] for i in tight], len(self.columns))
         if basis_pick is None:
             raise AssertionError(f"tight rows of {point} do not have full rank")
         return Vertex(
@@ -288,6 +294,9 @@ def _upper_bound(system: ConstraintSystem, scaled: Sequence[_IntegerRow]) -> Fra
     return Fraction(num + den, den)
 
 
+_denominator = operator.attrgetter("denominator")
+
+
 def _integer_row(row: Row) -> _IntegerRow:
     """``row`` as ``sum(a * x[c] for c, a in terms) <= rhs`` over the integers.
 
@@ -297,14 +306,16 @@ def _integer_row(row: Row) -> _IntegerRow:
     its sign. Each product is a rational of denominator 1; its numerator
     is the integer, and an ``int`` entry stays an ``int``.
     """
-    scale = math.lcm(row.rhs.denominator, *[a.denominator for a in row.coeffs])
+    scale = math.lcm(*map(_denominator, row.coeffs), row.rhs.denominator)
     if row.relation == ">=":
         scale = -scale
     terms = tuple([(c, (a * scale).numerator) for c, a in zip(row.cols, row.coeffs)])
     return terms, (row.rhs * scale).numerator
 
 
-def _points_by_incidence(system: ConstraintSystem) -> list[tuple[Point, tuple[int, ...]]]:
+def _points_by_incidence(
+    system: ConstraintSystem, scaled: Sequence[_IntegerRow]
+) -> list[tuple[Point, tuple[int, ...]]]:
     """Every vertex, with the indices of the rows tight at it.
 
     The halfspaces are inserted one at a time into a bounding simplex.
@@ -330,8 +341,9 @@ def _points_by_incidence(system: ConstraintSystem) -> list[tuple[Point, tuple[in
     tight set is read from a mask that is exact whatever the order (last
     paragraph).
 
-    The arithmetic is on integers. Each row is scaled once to integer
-    coefficients and right-hand side (``_integer_row``), and each vertex
+    The arithmetic is on integers. Each row comes scaled to integer
+    coefficients and right-hand side (``scaled``, from ``_integer_row``,
+    which the caller reuses for the certificates), and each vertex
     is held in homogeneous coordinates: integer numerators over one
     positive integer denominator, the whole vector divided by the gcd of
     its entries. A slack is then one integer dot product, scaled by a
@@ -381,12 +393,12 @@ def _points_by_incidence(system: ConstraintSystem) -> list[tuple[Point, tuple[in
         raise ValueError(
             "incidence enumeration needs an explicit sign row per column"
         )
-    scaled = [_integer_row(row) for row in system.rows]
     bound = _upper_bound(system, scaled)
     synthetic = len(system.rows)  # bit index of the bounding simplex facet
 
+    sign_rows = set(sign_row_of.values())
     all_signs = 0
-    for i in sign_row_of.values():
+    for i in sign_rows:
         all_signs |= 1 << i
     verts: list[_Homogeneous] = [((0,) * width, 1, all_signs)]
     for j in range(width):
@@ -395,7 +407,7 @@ def _points_by_incidence(system: ConstraintSystem) -> list[tuple[Point, tuple[in
         verts.append((spike, bound.denominator, mask))
 
     pending = sorted(
-        (i for i in range(len(system.rows)) if i not in sign_row_of.values()),
+        (i for i in range(len(system.rows)) if i not in sign_rows),
         key=lambda i: max(system.rows[i].cols, default=-1),
     )
     for i in pending:

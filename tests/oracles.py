@@ -189,6 +189,29 @@ def rank(vectors):
     return found
 
 
+def dense(row, width):
+    """The coefficients of ``row`` as a dense list of ``width`` entries."""
+    out = [Fraction(0)] * width
+    for c, w in zip(row.cols, row.coeffs):
+        out[c] = Fraction(w)
+    return out
+
+
+def prefix_rank_pick(vectors, need):
+    """The greedy pick by the oracle: keep each vector that raises the rank.
+
+    The first indices, in order, of ``need`` independent vectors; None
+    when the family has smaller rank.
+    """
+    chosen = []
+    for idx in range(len(vectors)):
+        if need and rank(vectors[: idx + 1]) > rank(vectors[:idx]):
+            chosen.append(idx)
+            if len(chosen) == need:
+                return chosen
+    return chosen if len(chosen) == need else None
+
+
 def basis_points(system):
     """Every extreme point of a row system, sorted, by brute force.
 

@@ -75,6 +75,7 @@ def test_removed_names_stay_removed():
     assert not hasattr(stablepoly.lattice, "swap")
     assert not hasattr(stablepoly.Decomposition, "flip_to_favour_a")
     assert not hasattr(stablepoly.Decomposition, "flip_to_favour_b")
+    assert not hasattr(stablepoly.Row, "dense")
 
 
 def test_record_fields_are_pinned():

@@ -1,9 +1,9 @@
 import random
 from fractions import Fraction
 
-from stablepoly.linalg import greedy_independent
+from stablepoly.linalg import greedy_independent, scale_to_integers
 
-from oracles import rank, solve_square
+from oracles import prefix_rank_pick, rank, solve_square
 
 F = Fraction
 
@@ -45,6 +45,13 @@ def test_solve_square_random_roundtrip():
             assert got == x
 
 
+def terms(vector):
+    """``vector`` as the ``(column, int)`` terms ``greedy_independent``
+    reads, scaled to integers; zero entries stay as explicit terms, as
+    ``polytope._integer_row`` keeps them."""
+    return [(k, x) for k, x in enumerate(scale_to_integers(vector)[0])]
+
+
 def test_greedy_independent_picks_first_basis():
     vectors = [
         [F(1), F(0)],
@@ -52,26 +59,16 @@ def test_greedy_independent_picks_first_basis():
         [F(0), F(1)],
         [F(1), F(1)],
     ]
-    assert greedy_independent(vectors, 2) == [0, 2]
-    assert greedy_independent(vectors, 3) is None
-    assert greedy_independent(vectors, 0) == []
+    rows = [terms(v) for v in vectors]
+    assert greedy_independent(rows, 2) == [0, 2]
+    assert greedy_independent(rows, 3) is None
+    assert greedy_independent(rows, 0) == []
 
 
 def test_rank():
     assert rank([[F(1), F(2)], [F(2), F(4)], [F(0), F(1)]]) == 2
     assert rank([[F(0), F(0)]]) == 0
     assert rank([]) == 0
-
-
-def _prefix_rank_pick(vectors, need):
-    """The greedy pick by the oracle: keep each vector that raises the rank."""
-    chosen = []
-    for idx in range(len(vectors)):
-        if need and rank(vectors[: idx + 1]) > rank(vectors[:idx]):
-            chosen.append(idx)
-            if len(chosen) == need:
-                return chosen
-    return chosen if len(chosen) == need else None
 
 
 def test_greedy_independent_matches_prefix_rank():
@@ -96,5 +93,6 @@ def test_greedy_independent_matches_prefix_rank():
                     [F(rng.randint(-5, 5), rng.randint(1, 7)) if rng.random() < 0.6 else F(0)
                      for _ in range(width)]
                 )
+        rows = [terms(v) for v in vectors]
         for need in range(width + 2):
-            assert greedy_independent(vectors, need) == _prefix_rank_pick(vectors, need)
+            assert greedy_independent(rows, need) == prefix_rank_pick(vectors, need)

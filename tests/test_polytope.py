@@ -14,8 +14,16 @@ from stablepoly.lattice import enumerate_stable
 from stablepoly.matchings import Matching
 from stablepoly.polytope import ConstraintSystem, Row, build_system
 
-from corpora import complete3, draw, golden_instances
-from oracles import basis_points, cover_pairs, filter_stable, rank, slack
+from corpora import complete3, draw, golden_instances, latin
+from oracles import (
+    basis_points,
+    cover_pairs,
+    dense,
+    filter_stable,
+    prefix_rank_pick,
+    rank,
+    slack,
+)
 
 F = Fraction
 ZERO, ONE, HALF = F(0), F(1), F(1, 2)
@@ -50,12 +58,11 @@ def test_row_validation_and_evaluation():
     assert slack(row, (ONE, F(9), HALF)) == ONE
     assert slack(row, (ONE, F(9), ONE)) == ZERO
     assert slack(Row((0,), (HALF,), ">=", ONE, "stability", "n"), (ONE,)) == -HALF
-    assert row.dense(3) == [ONE, ZERO, F(2)]
     with pytest.raises(ValueError):
         Row((0,), (ONE,), "<", ONE, "degree", "n")
     with pytest.raises(ValueError):
         Row((0, 1), (ONE,), "<=", ONE, "degree", "n")
-    # a repeated column would be overwritten by dense()
+    # a repeated column would leave the row's coefficient on it ambiguous
     with pytest.raises(ValueError, match="repeated column"):
         Row((0, 0), (ONE, ONE), "<=", ONE, "degree", "n")
     assert Row((0,), (ONE,), ">=", ZERO, "nonneg", "x").is_sign
@@ -236,17 +243,40 @@ def test_rational_rows_match_oracle():
 
 def assert_certificates_match_oracle(system):
     width = len(system.columns)
-    for vertex in system.enumerate_vertices().vertices:
+    for vertex in system.enumerate_vertices(max_edges=width).vertices:
         tight = [i for i, row in enumerate(system.rows) if slack(row, vertex.point) == 0]
         assert list(vertex.tight) == tight
         assert set(vertex.basis) <= set(vertex.tight)
         assert len(vertex.basis) == width
-        assert rank([system.rows[i].dense(width) for i in vertex.basis]) == width
+        assert rank([dense(system.rows[i], width) for i in vertex.basis]) == width
+        # the vertices JSON prints the basis, so it must be the first
+        # independent rows of the tight set, not merely some basis
+        vectors = [dense(system.rows[i], width) for i in tight]
+        assert list(vertex.basis) == [tight[k] for k in prefix_rank_pick(vectors, width)]
+
+
+def zero_term_system():
+    """Columns x, y and rows ``0 x + y <= 1``, ``y <= 1``, the two sign
+    rows and ``x <= 1``: the unit square, its top edge given twice.
+
+    Row 0 lists x with an explicit zero coefficient. A pick that took
+    that entry as a pivot would count rows 0 and 1 independent and report
+    ``(0, 1)`` as the basis at (0, 1) and at (1, 1).
+    """
+    rows = (
+        Row((0, 1), (0, 1), "<=", 1, "degree", "y with x"),
+        Row((1,), (1,), "<=", 1, "degree", "y"),
+        Row((0,), (1,), ">=", 0, "nonneg", "x"),
+        Row((1,), (1,), ">=", 0, "nonneg", "y"),
+        Row((0,), (1,), "<=", 1, "degree", "x"),
+    )
+    return ConstraintSystem((Edge(0, 0), Edge(0, 1)), ("x", "y"), rows)
 
 
 def test_vertex_basis_is_tight_and_full_rank():
     # the certificates come from the insertion's tight-row masks; the
-    # oracle recomputes each tight set from the raw rows
+    # oracle recomputes each tight set from the raw rows and each basis
+    # by prefix ranks
     for inst in exhaustive_complete(2):
         assert_certificates_match_oracle(build_system(inst))
     for k in sorted(random.Random(5105).sample(range(6**6), 60)):
@@ -255,6 +285,13 @@ def test_vertex_basis_is_tight_and_full_rank():
     for _ in range(120):
         assert_certificates_match_oracle(rational_system(rng, rng.randint(1, 4)))
     assert_certificates_match_oracle(thirds_triangle())
+    # 16 columns, 36 tight rows at each of its four vertices
+    assert_certificates_match_oracle(build_system(latin(4)))
+    system = zero_term_system()
+    assert_certificates_match_oracle(system)
+    bases = {v.point: v.basis for v in system.enumerate_vertices().vertices}
+    assert bases[(ZERO, ONE)] == (0, 2)
+    assert bases[(ONE, ONE)] == (0, 4)
 
 
 def report_digest(instances):
