@@ -9,6 +9,11 @@ alternating cycles; only ``decompose`` walks them, each a ``Component``
 with fields ``nodes``, ``edges`` and ``a_prefers``. Inside one cycle every
 a-side node favours the same input matching and every b-side node the
 other one.
+
+``decompose`` and ``meet_join`` need stable inputs, and ``meet_join``
+checks its outputs too. Each of these checks is the covering test of
+``matchings.covers_every_edge``; the blocking-pair scan runs only on a
+matching that fails it, to name the blocking edges in the error.
 """
 
 from __future__ import annotations
@@ -17,7 +22,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .instances import SIDE_A, SIDE_B, Edge, Instance, LimitError, NodeId
-from .matchings import Matching, blocking_pairs, gale_shapley, proposal_lists
+from .matchings import (
+    Matching,
+    blocking_pairs,
+    covers_every_edge,
+    gale_shapley,
+    proposal_lists,
+    routes_disagree,
+)
 
 
 class UniformityError(RuntimeError):
@@ -95,15 +107,30 @@ def decompose(instance: Instance, m1: Matching, m2: Matching) -> Decomposition:
     """Split the symmetric difference into oriented alternating cycles.
 
     Both inputs must be stable; the orientation claim does not survive
-    unstable inputs and the caller is told so via ValueError.
+    unstable inputs and the caller is told so via ValueError, which lists
+    the blocking edges. Stability is the covering test; the blocking-pair
+    scan runs only for an input that fails it.
     """
     _require_stable(instance, m1, m2)
     return split_difference(instance, m1, m2)
 
 
+def _blocked_by(instance: Instance, m: Matching) -> list[Edge]:
+    """No edge when ``m`` passes the covering test; otherwise its blocking
+    pairs, scanned only to explain the failure. A scan that finds none
+    raises ``RuntimeError``, as ``is_stable`` does when the routes
+    disagree."""
+    if covers_every_edge(instance, m):
+        return []
+    bad = blocking_pairs(instance, m)
+    if not bad:
+        raise routes_disagree(m, False, True)
+    return bad
+
+
 def _require_stable(instance: Instance, m1: Matching, m2: Matching) -> None:
     for label, m in (("first", m1), ("second", m2)):
-        bad = blocking_pairs(instance, m)
+        bad = _blocked_by(instance, m)
         if bad:
             raise ValueError(
                 f"{label} matching is not stable, blocked by "
@@ -163,7 +190,10 @@ def meet_join(instance: Instance, m1: Matching, m2: Matching) -> tuple[Matching,
     better in the join (Conway's lemma, Knuth 1976); ``Matching`` refuses
     a b-node that two a-nodes pick. Both are stable, and edge by edge the
     pair (meet, join) uses exactly the edges of (m1, m2) with the same
-    multiplicity. Both inputs must be stable (``ValueError`` otherwise).
+    multiplicity. Both inputs must be stable (``ValueError`` otherwise),
+    and a blocked meet or join raises ``SwapStabilityError``. All four
+    checks are the covering test; the blocking-pair scan runs only on a
+    matching that fails it, to list the blocking edges.
     """
     _require_stable(instance, m1, m2)
     ab1, ab2 = partner_maps(m1, m2)
@@ -177,7 +207,7 @@ def meet_join(instance: Instance, m1: Matching, m2: Matching) -> tuple[Matching,
         better.append(Edge(a, b2))
     meet, join = Matching(frozenset(worse)), Matching(frozenset(better))
     for label, m in (("meet", meet), ("join", join)):
-        bad = blocking_pairs(instance, m)
+        bad = _blocked_by(instance, m)
         if bad:
             raise SwapStabilityError(
                 f"{label} of two stable matchings is blocked",

@@ -89,28 +89,40 @@ def _require_subgraph(instance: Instance, matching: Matching) -> None:
         raise ValueError(f"matching uses non-edges: {sorted(stray)}")
 
 
-def is_stable(instance: Instance, matching: Matching) -> bool:
+def covers_every_edge(instance: Instance, matching: Matching) -> bool:
     """Stability as a covering condition, checked edge by edge.
 
     An edge ab is dominated when the matching meets its cover set
     (``Instance.cover_sets``): ab itself, the edges at a that a prefers to
     b, and the edges at b that b prefers to a. The matching is stable when
-    every edge is dominated.
-
-    The blocking-pair scan, which shares nothing with this routine beyond
-    the instance model, always runs too; a disagreement between the two
-    raises ``RuntimeError``.
+    every edge is dominated. A non-edge lies in no cover set, so a matching
+    that uses one raises ``ValueError`` before the covers are read.
     """
     _require_subgraph(instance, matching)
-    stable = not any(
-        matching.edges.isdisjoint(cover) for cover in instance.cover_sets.values()
+    return not any(map(matching.edges.isdisjoint, instance.cover_sets.values()))
+
+
+def routes_disagree(matching: Matching, covering: bool, scan: bool) -> RuntimeError:
+    """The error for a matching on which the covering test and the
+    blocking-pair scan give different verdicts."""
+    return RuntimeError(
+        f"stability routines disagree on {sorted(matching.edges)}: "
+        f"covering says {covering}, blocking scan says {scan}"
     )
+
+
+def is_stable(instance: Instance, matching: Matching) -> bool:
+    """The covering test (``covers_every_edge``), checked against the
+    blocking-pair scan.
+
+    The scan shares nothing with the covering test beyond the instance
+    model, and here it always runs too; a disagreement between the two
+    raises ``RuntimeError``.
+    """
+    stable = covers_every_edge(instance, matching)
     verdict = not blocking_pairs(instance, matching)
     if verdict != stable:
-        raise RuntimeError(
-            f"stability routines disagree on {sorted(matching.edges)}: "
-            f"covering says {stable}, blocking scan says {verdict}"
-        )
+        raise routes_disagree(matching, stable, verdict)
     return stable
 
 

@@ -1,7 +1,9 @@
 """Every committed ``BENCH_*.json`` keeps the shape a reader relies on.
 
 Each file records parent/change benchmark runs; its ``runs`` are keyed by
-the workload names that ``BENCHMARK.json`` declares.
+the workload names that ``BENCHMARK.json`` declares. Runs made some other
+way (an equal op count, one layer alone) go under ``other_runs``, each
+with a note that says how they were made.
 """
 
 import json
@@ -33,3 +35,9 @@ def test_bench_file_shape(path):
     runs = data["runs"]
     assert isinstance(runs, dict) and runs
     assert set(runs) <= _workloads(), f"{path.name} runs unknown workloads"
+    other = data.get("other_runs", [])
+    assert isinstance(other, list)
+    for extra in other:
+        note, extra_runs = extra.get("note"), extra.get("runs")
+        assert isinstance(note, str) and note, f"{path.name}: other_runs without a note"
+        assert isinstance(extra_runs, list) and extra_runs, f"{path.name}: other_runs without runs"

@@ -7,9 +7,11 @@ import weakref
 
 import pytest
 
+from stablepoly import lattice
 from stablepoly.adjacency import adjacency_verdict
 from stablepoly.instances import SIDE_A, SIDE_B, Edge, Instance, LimitError, random_instances
 from stablepoly.lattice import (
+    SwapStabilityError,
     UniformityError,
     decompose,
     enumerate_stable,
@@ -159,6 +161,88 @@ def test_meet_join_requires_stable(opposed2):
     with pytest.raises(ValueError, match="not stable"):
         meet_join(opposed2, stable, unstable)
     assert meet_join(opposed2, stable, stable) == (stable, stable)
+
+
+def test_stable_checks_scan_no_blocking_pair(monkeypatch, opposed4):
+    """Stable inputs and outputs pass the covering test alone; the scan
+    runs once, for an unstable input, to name its blocking edges."""
+    scans = []
+    real = lattice.blocking_pairs
+    monkeypatch.setattr(lattice, "blocking_pairs", lambda *a: scans.append(a) or real(*a))
+    pairs = 0
+    for inst in (opposed4, blocks(3)):
+        for m1, m2 in itertools.product(enumerate_stable(inst), repeat=2):
+            decompose(inst, m1, m2)
+            meet_join(inst, m1, m2)
+            pairs += 1
+    assert pairs == 16 + 64 and scans == []
+    stable = enumerate_stable(opposed4)[0]
+    unstable = Matching.from_edges([Edge(0, 0)])
+    for run in (decompose, meet_join):
+        for args in ((unstable, stable), (stable, unstable)):
+            with pytest.raises(ValueError, match="not stable"):
+                run(opposed4, *args)
+            assert scans == [(opposed4, unstable)]
+            scans.clear()
+
+
+def test_unstable_input_errors_are_pinned(opposed2):
+    stable = Matching.from_edges([Edge(0, 0), Edge(1, 1)])
+    cases = [
+        ([Edge(0, 0)], "first", "['a2 b1', 'a2 b2']"),
+        ([Edge(0, 1)], "first", "['a1 b1', 'a2 b1']"),
+        ([], "second", "['a1 b1', 'a1 b2', 'a2 b1', 'a2 b2']"),
+    ]
+    unstable = Matching.from_edges([Edge(0, 0)])
+    for run in (decompose, meet_join):
+        for edges, label, blocked in cases:
+            bad = Matching.from_edges(edges)
+            args = (bad, stable) if label == "first" else (stable, bad)
+            with pytest.raises(ValueError) as info:
+                run(opposed2, *args)
+            assert str(info.value) == f"{label} matching is not stable, blocked by {blocked}"
+        # a non-edge lies in no cover set, so it is refused before the
+        # covers are read; a stable matching plus one would pass them
+        padded = Matching.from_edges([Edge(0, 0), Edge(1, 1), Edge(2, 2)])
+        for stray, args in (
+            (Edge(0, 2), (stable, Matching.from_edges([Edge(0, 2)]))),
+            (Edge(2, 0), (Matching.from_edges([Edge(2, 0)]), unstable)),
+            (Edge(2, 2), (stable, padded)),
+            (Edge(2, 2), (padded, padded)),
+        ):
+            with pytest.raises(ValueError) as info:
+                run(opposed2, *args)
+            assert str(info.value) == f"matching uses non-edges: {[stray]}"
+
+
+def test_blocked_meet_keeps_its_certificate(monkeypatch, opposed2):
+    # with the input check skipped, an unstable pair gives a blocked meet
+    monkeypatch.setattr(lattice, "_require_stable", lambda *a: None)
+    unstable = Matching.from_edges([Edge(0, 0)])
+    with pytest.raises(SwapStabilityError) as info:
+        meet_join(opposed2, unstable, unstable)
+    assert str(info.value) == "meet of two stable matchings is blocked"
+    assert info.value.certificate == {
+        "result": [["a1", "b1"]],
+        "blocking": ["a2 b1", "a2 b2"],
+        "m1": [["a1", "b1"]],
+        "m2": [["a1", "b1"]],
+    }
+
+
+def test_stable_checks_raise_when_routes_disagree(monkeypatch, opposed2):
+    """A blocking scan that misses the blocking pair of an unstable input
+    or output is an error, never a result."""
+    stable = Matching.from_edges([Edge(0, 0), Edge(1, 1)])
+    unstable = Matching.from_edges([Edge(0, 0)])
+    monkeypatch.setattr(lattice, "blocking_pairs", lambda instance, matching: [])
+    for run in (decompose, meet_join):
+        for args in ((unstable, stable), (stable, unstable)):
+            with pytest.raises(RuntimeError, match="stability routines disagree"):
+                run(opposed2, *args)
+    monkeypatch.setattr(lattice, "_require_stable", lambda *a: None)
+    with pytest.raises(RuntimeError, match="stability routines disagree"):
+        meet_join(opposed2, unstable, unstable)
 
 
 def test_meet_join_matches_component_flips():
