@@ -160,16 +160,18 @@ class Instance:
         and the edges at b that b prefers to a. A matching dominates ab
         when it meets this set, and is stable when it meets every one.
         Each node's rank table is read once, best first, and every edge
-        at the node takes the edges already passed.
+        at the node takes the edges already passed. Every member is one
+        of the instance's own ``edges`` objects, each cover's first entry.
         """
         covers: dict[Edge, list[Edge]] = {e: [e] for e in self.edges}
 
         def add(ranked: Iterable[Edge]) -> None:
             better: list[Edge] = []
             for e in ranked:
-                if e in covers:
-                    covers[e] += better
-                    better.append(e)
+                cover = covers.get(e)
+                if cover is not None:
+                    cover += better
+                    better.append(cover[0])
 
         for i, ranks in enumerate(self.a_rank):
             add(Edge(i, j) for j in sorted(ranks, key=ranks.__getitem__))

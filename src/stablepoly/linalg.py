@@ -1,10 +1,11 @@
 """Exact linear algebra over rationals, carried out on integers.
 
 A rational vector is scaled once to integers by the lcm of its
-denominators (``scale_to_integers``); the simplex starts from it. The
-basis pick (``greedy_independent``) takes rows that are integer already,
-sparse ``(column, entry)`` terms as ``polytope._integer_row`` writes
-them, and eliminates on those terms without fractions (Edmonds 1967).
+denominators (``scale_to_integers``); the simplex scales its objective
+with it. The basis pick (``greedy_independent``) takes rows that are
+integer already, sparse ``(column, entry)`` terms as
+``polytope._integer_row`` writes them, and eliminates on those terms
+without fractions (Edmonds 1967).
 Linear independence does not depend on a nonzero scale of each row, so
 the indices picked are the rational ones.
 """

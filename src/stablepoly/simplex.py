@@ -7,7 +7,8 @@ anywhere.
 
 The tableau holds only integers (integer-preserving pivoting: Edmonds
 1967, Bareiss 1968). Each constraint row is scaled once, by the lcm of
-its denominators, while its slack and artificial keep the coefficient
+the denominators of its terms and right-hand side, as it is written
+into the tableau, while its slack and artificial keep the coefficient
 1 or -1 (a ``>=`` row's artificial is read off its surplus, see below).
 That measures them in units of 1/scale: a positive rescaling of their
 columns, which changes no sign of a reduced cost and no order of a
@@ -24,27 +25,29 @@ denominator ``d``, the last pivot element (1 before the first pivot),
 and holds every row as an integer multiple of ``1/d``. Up to sign ``d``
 is the determinant of the current basis matrix B of the scaled rows,
 each such row is a row of adj(B) times the integer rows (Cramer's rule),
-hence integral, and one pivot is Sylvester's identity. Here a row
-stays as it was when it was last rewritten, at the ``d`` of that time,
-so its common-scheme form ``row * d // den`` is exact. A pivot at
-``(r, c)`` brings the pivot row ``b`` to ``d``, which makes ``b[c]`` the
-pivot element ``p``. A row whose entry ``f`` in column ``c`` is zero is
-not touched. Any other row ``a`` becomes ``(p*a - f*b) // den`` over
-denominator ``p``: that is the common scheme's ``(p*A - F*b) // d`` with
-``A = a*d/den`` and ``F = f*d/den``, the row the common scheme holds
-after the pivot, so the division is exact. Off the support of ``b``
-(its nonzero entries) ``b[j] == 0``, so the new entry is ``p*a[j] //
-den``, exact by the same argument, and zero where ``a[j]`` is; only the
-entries on the support take the full formula. When ``den == p`` the
-update is ``a[j] -= f*b[j] // p`` on the support only, each quotient
-again exact because the new row is integral. The pivot element is the
-entering variable's entry in ``b``, an artificial's read off its twin
-(below); the ratio test admits only positive ones, so only a clean-up
-pivot after phase one, which enters a real column, can have ``p < 0``.
-Negating ``b`` first negates exactly the rows the pivot rewrites and
-keeps every denominator positive. Phase two brings every row to ``d``
-once, and its reduced costs start from ``d * cost`` minus each basic row
-times its variable's cost.
+hence integral, and one pivot is Sylvester's identity. So ``d`` times
+any rational row is integral whatever the row's history, and a row may
+be stored over any ``den`` that makes it integral; its common-scheme
+form ``row * d // den`` is exact. A pivot at ``(r, c)`` brings the pivot
+row ``b`` to ``d``, which makes ``b[c]`` the pivot element ``p``, the
+next ``d``. A row whose entry ``f`` in column ``c`` is zero is not
+touched. Any other row ``a`` becomes the rational row ``a/den - f*b /
+(den*p)``, which ``p`` makes integral. When ``p`` divides ``den``,
+``den`` makes it integral too, so the row stays over ``den`` and only
+the entries on the support of ``b`` (its nonzero entries) change, as
+``a[j] -= f*b[j] // p``, each quotient exact because the new entry and
+``a[j]`` are integers. Otherwise the row becomes ``(p*a - f*b) // den``
+over ``p``; off the support ``b[j] == 0``, so the new entry is ``p*a[j]
+// den``, and zero where ``a[j]`` is; only the entries on the support
+take the full formula. The pivot element is the entering variable's
+entry in ``b``, an artificial's read off its twin (below); the ratio
+test admits only positive ones, so only a clean-up pivot after phase
+one, which enters a real column, can have ``p < 0``. Negating ``b``
+first negates exactly the rows the pivot rewrites and keeps every
+denominator positive. Phase two takes the rows as they stand, without
+the stored artificial columns, and its reduced costs start from ``d *
+cost`` minus each basic row, brought to ``d``, times its variable's
+cost; only the rows of a variable with nonzero cost are brought there.
 
 Phase one stores no column for the artificial of a ``>=`` row. That
 artificial starts as ``+e_i`` and the row's surplus as ``-e_i``; row
@@ -73,8 +76,8 @@ Bland's entering test reads only the signs of the cost row, and the
 ratio test compares ``rhs / coeff`` within each row; a positive scale of
 one row changes neither. So the pivots are the ones the rational
 tableau takes, and Fractions are built only for the returned point,
-each coordinate ``row[-1] / den``, whose value is computed from the
-caller's unscaled objective.
+each nonzero coordinate ``row[-1] / den``, whose value is computed from
+the caller's unscaled objective over those coordinates alone.
 """
 
 from __future__ import annotations
@@ -118,7 +121,9 @@ def _pivot(
     the cost row ``c`` (last, over ``den``). The pivot row is stored as
     it reads, over ``p``, so an entering artificial is basic at ``+1``.
     Rows where the entering variable's entry is zero are left as they
-    are, list and denominator.
+    are, list and denominator; a row whose denominator ``p`` divides
+    keeps its list and denominator and changes on the pivot row's
+    support only; any other row is rewritten over ``p``.
     """
     col, sign, base = artificials.get(enter, (enter, 1, 0))
     pivot_row = tableau[row]
@@ -142,7 +147,8 @@ def _pivot(
         if not f or r == row:
             continue
         den = dens[r]
-        if den == p:
+        if den % p == 0:
+            # the new row is integral over den as well: see the module docstring
             for j, b in support:
                 other[j] -= f * b // p
         else:
@@ -209,59 +215,59 @@ def _iterate(
 def solve_lp(
     num_vars: int,
     constraints: Sequence[Constraint],
-    objective: Sequence[Fraction],
+    objective: Sequence[int | Fraction],
     sense: str = "max",
 ) -> LpResult:
     """Optimize a linear objective over the given constraints.
 
     Constraints are (sparse terms, relation, rhs) with relation one of
     "<=", ">=", "="; every variable is additionally held nonnegative.
-    Coefficients and right-hand sides may be ``int`` or ``Fraction``,
-    mixed freely within a row; a ``float`` raises ``AttributeError``.
+    Coefficients, right-hand sides and objective entries may be ``int``
+    or ``Fraction``, mixed freely within a row or the objective; a
+    ``float`` anywhere raises ``AttributeError``.
     """
     if sense not in ("max", "min"):
         raise ValueError(f"unknown sense {sense!r}")
     if len(objective) != num_vars:
         raise ValueError("objective length does not match variable count")
-    goal = [Fraction(c) for c in objective]
-    cost_vec, _ = scale_to_integers([-c for c in goal] if sense == "max" else goal)
+    cost_vec, _ = scale_to_integers([-c for c in objective] if sense == "max" else objective)
 
-    rows: list[list[int]] = []
+    m = len(constraints)
+    # every row has a slack or a stored artificial, so the tableau has
+    # num_vars + m columns and the right-hand side
+    width = num_vars + m
+    tableau: list[list[int]] = []
     scales: list[int] = []
     relations: list[str] = []
     for terms, relation, rhs in constraints:
         if relation not in ("<=", ">=", "="):
             raise ValueError(f"unknown relation {relation!r}")
-        dense = [0] * num_vars
+        scale = math.lcm(rhs.denominator, *[c.denominator for _, c in terms])
+        row = [0] * (width + 1)
         for col, coeff in terms:
             if not 0 <= col < num_vars:
                 raise ValueError(f"column {col} out of range")
-            dense[col] += coeff
-        dense.append(rhs)
-        if dense[-1] < 0:
-            dense = [-x for x in dense]
+            row[col] += coeff.numerator * (scale // coeff.denominator)
+        row[-1] = rhs.numerator * (scale // rhs.denominator)
+        if rhs < 0:
+            row = [-x for x in row]
             relation = {"<=": ">=", ">=": "<=", "=": "="}[relation]
-        row, scale = scale_to_integers(dense)
-        rows.append(row)
+        tableau.append(row)
         scales.append(scale)
         relations.append(relation)
 
-    m = len(rows)
     slack_count = sum(1 for rel in relations if rel in ("<=", ">="))
     art_start = num_vars + slack_count
     # Phase one minimizes the sum of the artificials. Row i's artificial
     # is counted in units of 1/scales[i], so it costs lcm/scales[i]; only
     # an = row's artificial is stored, a >= row's is its surplus negated.
     lcm = math.lcm(*[scales[i] for i in range(m) if relations[i] != "<="])
-    width = art_start + relations.count("=")
 
-    tableau: list[list[int]] = []
     basis: list[int] = []
     artificials: dict[int, _Artificial] = {}
     next_slack = num_vars
     next_stored = art_start
-    for i in range(m):
-        row = rows[i][:-1] + [0] * (width - num_vars) + [rows[i][-1]]
+    for i, row in enumerate(tableau):
         if relations[i] == "<=":
             row[next_slack] = 1
             basis.append(next_slack)
@@ -278,7 +284,6 @@ def solve_lp(
             label = art_start + len(artificials)
             artificials[label] = (col, sign, lcm // scales[i])
             basis.append(label)
-        tableau.append(row)
 
     # Row i stands for tableau[i] / dens[i]; the cost row is appended
     # last while a phase runs, with its own entry in dens and a last
@@ -322,25 +327,28 @@ def solve_lp(
             del basis[i]
             del dens[i]
 
-    # Phase two starts with every row at the common denominator d.
-    tableau = [
-        [x * d // den for x in row[:art_start] + row[-1:]] for row, den in zip(tableau, dens)
-    ]
+    # Phase two takes the rows as they stand, less the stored artificial
+    # columns; its cost row is over d, so a basic row with a nonzero cost
+    # is brought to d (row * d // den, exact) as it is subtracted.
+    if width > art_start:
+        tableau = [row[:art_start] + row[-1:] for row in tableau]
     full_cost = cost_vec + [0] * slack_count
     reduced = [d * c for c in full_cost] + [0]
-    for i, row in enumerate(tableau):
-        weight = full_cost[basis[i]]
+    for row, den, b in zip(tableau, dens, basis):
+        weight = full_cost[b]
         if weight:
-            reduced = [a - weight * b for a, b in zip(reduced, row)]
+            factor = weight * d
+            reduced = [a - factor * x // den for a, x in zip(reduced, row)]
     tableau.append(reduced)
-    dens = [d] * len(tableau)
+    dens.append(d)
     status, d = _iterate(tableau, dens, basis, art_start, d, {})
     if status == "unbounded":
         return LpResult("unbounded", None, None)
 
     point = [ZERO] * num_vars
+    value = ZERO
     for i, b in enumerate(basis):
-        if b < num_vars:
-            point[b] = Fraction(tableau[i][-1], dens[i])
-    value = sum((goal[j] * point[j] for j in range(num_vars)), ZERO)
+        if b < num_vars and tableau[i][-1]:
+            point[b] = x = Fraction(tableau[i][-1], dens[i])
+            value += objective[b] * x
     return LpResult("optimal", tuple(point), value)

@@ -77,6 +77,17 @@ def test_cover_sets_match_oracle():
         assert covers == cover_pairs(inst)
 
 
+def test_cover_members_are_the_instances_own_edges():
+    # a cover holds the instance's Edge objects, not equal copies of them
+    rng = random.Random(414)
+    instances = [draw(rng, 4, 4, 0.8, 0.3) for _ in range(20)]
+    instances += list(itertools.islice(random_instances(4, 3, 0.7, seed=415), 20))
+    for inst in itertools.chain(exhaustive_complete(2), instances):
+        own = {id(e) for e in inst.edges}
+        assert {id(e) for e in inst.cover_sets} <= own
+        assert all(id(f) in own for cover in inst.cover_sets.values() for f in cover)
+
+
 def test_rank(opposed2):
     a1 = NodeId(SIDE_A, 0)
     b1, b2 = NodeId(SIDE_B, 0), NodeId(SIDE_B, 1)

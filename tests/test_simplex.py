@@ -190,40 +190,56 @@ def test_pivot_leaves_rows_with_zero_in_pivot_column():
     # and its denominator, so no pivot rescales a row it does not change.
     # A row over a denominator other than the pivot element, with a
     # nonzero entry where the pivot row has none, meets the off-support
-    # rescale p*a // den, which must be exact too.
+    # rescale p*a // den, which must be exact too. A row over a proper
+    # multiple of the pivot element keeps its list object and its
+    # denominator too, and changes in place on the pivot row's support;
+    # small entries (0, 1, -1, 2, as in the rows of build_system) keep the
+    # pivot elements small, so that they often divide an older denominator.
     rng = random.Random(1314)
     seen = Counter()
-    for _ in range(40):
-        tableau = [[rng.choice((0, 0, rng.randint(-5, 5))) for _ in range(6)] for _ in range(4)]
-        dens = [1] * len(tableau)
-        d = 1
-        for _ in range(6):
-            row, col = rng.randrange(4), rng.randrange(6)
-            if tableau[row][col] == 0:
-                continue
-            rational = [[F(x, den) for x in r] for r, den in zip(tableau, dens)]
-            oracle_pivot(rational, [F(0)] * 6, row, col)
-            kept = {
-                r: (tableau[r], dens[r])
-                for r in range(len(tableau))
-                if r != row and tableau[r][col] == 0
-            }
-            seen["negative"] += tableau[row][col] * dens[row] < 0
-            pivot_row = [x * d // dens[row] for x in tableau[row]]
-            p = abs(pivot_row[col])
-            seen["off support"] += sum(
-                1
-                for r, a in enumerate(tableau)
-                if r != row and a[col] and dens[r] != p
-                and any(x and not b for x, b in zip(a, pivot_row))
-            )
-            d = simplex._pivot(tableau, dens, row, col, d, {})
-            assert d > 0 and all(den > 0 for den in dens)
-            assert [[F(x, den) for x in r] for r, den in zip(tableau, dens)] == rational
-            for r, (kept_row, kept_den) in kept.items():
-                assert tableau[r] is kept_row and dens[r] == kept_den
-            seen["kept"] += len(kept)
+    families = (
+        (4, 6, 6, lambda: rng.choice((0, 0, rng.randint(-5, 5)))),
+        (5, 7, 8, lambda: rng.choice((0, 0, 1, -1, 2))),
+    )
+    for height, width, steps, entry in families:
+        for _ in range(40):
+            tableau = [[entry() for _ in range(width)] for _ in range(height)]
+            dens = [1] * len(tableau)
+            d = 1
+            for _ in range(steps):
+                row, col = rng.randrange(height), rng.randrange(width)
+                if tableau[row][col] == 0:
+                    continue
+                rational = [[F(x, den) for x in r] for r, den in zip(tableau, dens)]
+                oracle_pivot(rational, [F(0)] * width, row, col)
+                kept = {
+                    r: (tableau[r], dens[r])
+                    for r in range(len(tableau))
+                    if r != row and tableau[r][col] == 0
+                }
+                seen["negative"] += tableau[row][col] * dens[row] < 0
+                pivot_row = [x * d // dens[row] for x in tableau[row]]
+                p = abs(pivot_row[col])
+                seen["off support"] += sum(
+                    1
+                    for r, a in enumerate(tableau)
+                    if r != row and a[col] and dens[r] % p
+                    and any(x and not b for x, b in zip(a, pivot_row))
+                )
+                in_place = {
+                    r: (tableau[r], dens[r])
+                    for r in range(len(tableau))
+                    if r != row and tableau[r][col] and dens[r] != p and dens[r] % p == 0
+                }
+                d = simplex._pivot(tableau, dens, row, col, d, {})
+                assert d > 0 and all(den > 0 for den in dens)
+                assert [[F(x, den) for x in r] for r, den in zip(tableau, dens)] == rational
+                for r, (kept_row, kept_den) in (kept | in_place).items():
+                    assert tableau[r] is kept_row and dens[r] == kept_den
+                seen["kept"] += len(kept)
+                seen["in place over a multiple of p"] += len(in_place)
     assert seen["kept"] and seen["negative"] and seen["off support"] >= 20
+    assert seen["in place over a multiple of p"] >= 20
 
 
 def test_pivot_column_zero_in_other_rows():
@@ -343,8 +359,11 @@ def pivots(monkeypatch):
         if sign < 0:
             taken.branches["artificial read off its surplus"] += 1
         p = abs(element * d // dens[row])
-        if any(r != row and a[col] and dens[r] != p for r, a in enumerate(tableau)):
-            taken.branches["elimination with p != den"] += 1
+        others = [dens[r] for r, a in enumerate(tableau) if r != row and a[col]]
+        if any(den % p for den in others):
+            taken.branches["elimination with p not dividing den"] += 1
+        if any(den != p and den % p == 0 for den in others):
+            taken.branches["pivot element divides the row's denominator"] += 1
         return real(tableau, dens, row, enter, d, artificials)
 
     monkeypatch.setattr(simplex, "_pivot", record)
@@ -397,6 +416,7 @@ def test_random_lps_match_fraction_tableau(pivots):
         relations.update((rel, rhs < 0) for _, rel, rhs in rows)
     assert set(statuses) == {"optimal", "infeasible", "unbounded"}
     assert events["negative cleanup"] and events["drop"]
+    assert pivots.branches["pivot element divides the row's denominator"] >= 30
     # an = row's artificial, stored in its own column, enters again
     assert events["= re-entry"] >= 1
     assert set(relations) == {(rel, neg) for rel in ("<=", ">=", "=") for neg in (False, True)}
@@ -435,10 +455,14 @@ def test_edge_cases_match_fraction_tableau(pivots):
     rows = [([(0, F(1)), (1, F(1))], ">=", F(1)), ([(0, F(1))], "<=", F(2))]
     with pytest.raises(ValueError, match="objective length"):
         solve_lp(2, rows, [F(1)])
-    # a float is not a rational the solver takes: it has no denominator
+    # a float is not a rational the solver takes: it has no denominator,
+    # in a row or in the objective (0.1 is not 1/10 in binary)
     for floats in ([([(0, 0.5)], "<=", F(2))], [([(0, F(1))], "<=", 2.0)]):
         with pytest.raises(AttributeError, match="denominator"):
             solve_lp(2, floats, [F(1), F(0)])
+    for sense in ("max", "min"):
+        with pytest.raises(AttributeError, match="denominator"):
+            solve_lp(2, rows, [0.1, F(0)], sense)
     assert pivots == []
     # unbounded along y, optimal at x = 2, then optimal on the line x + y = 1
     results = [
@@ -450,6 +474,11 @@ def test_edge_cases_match_fraction_tableau(pivots):
     infeasible = rows + [([(0, F(1)), (1, F(1))], "<=", F(1, 2))]
     result, _ = _assert_same(2, infeasible, [F(1), F(0)], "min", pivots)
     assert result.status == "infeasible"
+    # a column listed twice is the sum of its terms: x/2 + x/2 + y/3 <= 1
+    # is x + y/3 <= 1, whatever scale the row is given
+    repeated = [([(0, F(1, 2)), (1, F(1, 3)), (0, F(1, 2))], "<=", F(1)), ([(1, 1)], "<=", 2)]
+    result, _ = _assert_same(2, repeated, [F(1), F(1)], "max", pivots)
+    assert (result.point, result.value) == ((F(1, 3), F(2)), F(7, 3))
 
 
 def _recorded_calls(monkeypatch, module, run):
@@ -533,9 +562,10 @@ def test_optimize_fraction_row_matches_fraction_tableau(monkeypatch, pivots):
 
 
 def test_complete_5x5_optimize_lps_match_fraction_tableau(monkeypatch, pivots):
-    # 25 columns, both senses; the runs must reach both per-row paths: a
-    # pivot row stored at an older denominator, and an elimination whose
-    # row is over a denominator other than the pivot element
+    # 25 columns, both senses; the runs must reach every per-row path: a
+    # pivot row stored at an older denominator, an elimination whose row
+    # is over a denominator the pivot element does not divide, and one
+    # whose row stays over a proper multiple of the pivot element
     rng = random.Random(1313)
     instances = [random_instance(5, 5, 1.0, rng) for _ in range(2)]
 
@@ -552,7 +582,8 @@ def test_complete_5x5_optimize_lps_match_fraction_tableau(monkeypatch, pivots):
     for args in calls:
         result, _ = _assert_same(*args, pivots)
         assert result.status == "optimal"
-    assert pivots.branches["stale pivot row"] and pivots.branches["elimination with p != den"]
+    assert pivots.branches["stale pivot row"] and pivots.branches["elimination with p not dividing den"]
+    assert pivots.branches["pivot element divides the row's denominator"] >= 100
 
 
 def test_midpoint_lps_match_fraction_tableau(pivots, opposed4):
