@@ -8,8 +8,9 @@ The corpus is fixed-seed throughout: the complete 2x2 family is taken
 whole, the complete 3x3 family is sampled by index (full exhaustion of
 all 46656 instances plus the pairwise checks that reuse them does not
 fit the time budget on one core; the sample is decoded from indices so
-the run never materializes the rest), and the random family redraws
-until the edge budget holds. Criteria 4-6 also run on the rich-lattice
+the run never materializes the rest), criterion 1 also verifies a
+fixed-seed sample of complete 4x4 instances at 16 columns, and the
+random family redraws until the edge budget holds. Criteria 4-6 also run on the rich-lattice
 family of ``corpora.golden_instances``, which reaches the non-adjacent
 and mixed-orientation pairs that the families above never produce.
 """
@@ -52,6 +53,7 @@ from oracles import dominance_witness, max_weight_stable, midpoint_maxima
 
 SEED = 20260819
 SAMPLE_3X3 = 2500
+SAMPLE_4X4 = 200
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
@@ -78,6 +80,15 @@ def complete_corpus():
     picks = sorted(rng.sample(range(6**6), SAMPLE_3X3))
     corpus.extend(complete3(k) for k in picks)
     return corpus
+
+
+@pytest.fixture(scope="session")
+def complete4_results():
+    """Fixed-seed complete 4x4 instances, verified at 16 columns. Kept
+    out of ``complete_corpus`` so that only criterion 1 runs on them."""
+    rng = random.Random(SEED + 1)
+    corpus = [random_instance(4, 4, 1.0, rng) for _ in range(SAMPLE_4X4)]
+    return [verify_instance(inst, max_edges=16) for inst in corpus]
 
 
 @pytest.fixture(scope="session")
@@ -124,14 +135,16 @@ def stable_lists(all_results, rich_lattices):
     return [(r.instance, r.stable) for r in all_results] + rich_lattices
 
 
-def test_criterion_1_complete_families(complete_results, announce):
-    bad = [r for r in complete_results if not r.ok]
-    fractional = sum(len(r.fractional) for r in complete_results)
+def test_criterion_1_complete_families(complete_results, complete4_results, announce):
+    results = complete_results + complete4_results
+    bad = [r for r in results if not r.ok]
+    fractional = sum(len(r.fractional) for r in results)
     ok = not bad and fractional == 0
     announce(
         1,
         ok,
-        f"all 16 complete 2x2 and {SAMPLE_3X3} fixed-seed complete 3x3 instances: "
+        f"all 16 complete 2x2, {SAMPLE_3X3} fixed-seed complete 3x3 and "
+        f"{SAMPLE_4X4} fixed-seed complete 4x4 instances (16 columns): "
         f"vertex set equals stable set on each, {fractional} fractional vertices",
     )
     assert ok, [r.to_json() for r in bad[:3]]

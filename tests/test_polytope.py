@@ -14,7 +14,7 @@ from stablepoly.lattice import enumerate_stable
 from stablepoly.matchings import Matching
 from stablepoly.polytope import ConstraintSystem, Row, build_system
 
-from corpora import complete3, draw, golden_instances, latin
+from corpora import blocks, complete3, draw, golden_instances, latin
 from oracles import (
     basis_points,
     cover_pairs,
@@ -294,6 +294,106 @@ def test_vertex_basis_is_tight_and_full_rank():
     assert bases[(ONE, ONE)] == (0, 4)
 
 
+def test_certificates_on_16_columns():
+    # ten complete 4x4 draws and blocks(4): at 16 columns the insertion
+    # lifts many columns between cuts, and every tight set and basis must
+    # still match the oracle's
+    for inst in itertools.islice(random_instances(4, 4, 1.0, seed=5111), 10):
+        assert_certificates_match_oracle(build_system(inst))
+    assert_certificates_match_oracle(build_system(blocks(4)))
+
+
+def columns_system(width, rows):
+    """A system over columns ``x0 .. x{width-1}``, each with its sign row
+    after ``rows``."""
+    names = tuple(f"x{j}" for j in range(width))
+    signs = tuple(Row((j,), (ONE,), ">=", ZERO, "nonneg", n) for j, n in enumerate(names))
+    columns = tuple(Edge(0, j) for j in range(width))
+    return ConstraintSystem(columns, names, tuple(rows) + signs)
+
+
+def assert_lift_matches_oracles(system):
+    """The points against ``basis_points`` and the certificates against
+    ``slack``; returns the points."""
+    points = [v.point for v in system.enumerate_vertices().vertices]
+    assert points == basis_points(system)
+    assert_certificates_match_oracle(system)
+    return points
+
+
+def test_lift_column_first_reached_by_a_late_row():
+    # x1 and x2 appear only in rows whose last column is x3, so the
+    # insertion cuts with x0 <= 1 first and then lifts x1, x2 and x3 in
+    # one go; the zero coefficient puts x3 in the triangle's third side
+    system = columns_system(4, (
+        Row((0,), (ONE,), "<=", ONE, "degree", "x0"),
+        Row((0, 3), (ONE, ONE), "<=", F(3, 2), "degree", "x0 x3"),
+        Row((1, 3), (ONE, ONE), "<=", ONE, "degree", "x1 x3"),
+        Row((2, 3), (ONE, ONE), "<=", ONE, "degree", "x2 x3"),
+        Row((1, 2, 3), (ONE, ONE, ZERO), "<=", ONE, "degree", "x1 x2"),
+    ))
+    late = [row for row in system.rows if {1, 2} & set(row.cols) and not row.is_sign]
+    assert {max(row.cols) for row in late} == {3}
+    points = assert_lift_matches_oracles(system)
+    assert (ZERO, HALF, HALF, HALF) in points
+    assert (ONE, HALF, HALF, HALF) in points
+    assert len(points) == 13
+
+
+def test_lift_skips_vertices_on_the_bounding_facet():
+    # every row ends at x2, so x0, x1 and x2 are lifted before the first
+    # cut: x1's lift meets bound * e0 on the bounding facet, and x2's
+    # meets bound * e0 and bound * e1. A twin there would repeat the
+    # point with a sign row wrongly dropped from its mask.
+    system = columns_system(3, (
+        Row((0, 2), (ONE, ONE), "<=", ONE, "degree", "x0 x2"),
+        Row((1, 2), (ONE, ONE), "<=", ONE, "degree", "x1 x2"),
+        Row((0, 1, 2), (ONE, ONE, ONE), "<=", F(3, 2), "degree", "all"),
+    ))
+    points = assert_lift_matches_oracles(system)
+    assert points == [
+        (ZERO, ZERO, ZERO),
+        (ZERO, ZERO, ONE),
+        (ZERO, ONE, ZERO),
+        (HALF, HALF, HALF),
+        (HALF, ONE, ZERO),
+        (ONE, ZERO, ZERO),
+        (ONE, HALF, ZERO),
+    ]
+
+
+def test_lift_around_rows_with_no_columns():
+    square = (
+        Row((0,), (ONE,), "<=", ONE, "degree", "x0"),
+        Row((1,), (ONE,), "<=", ONE, "degree", "x1"),
+    )
+    # 0 <= -1 goes in before any column is lifted and leaves nothing
+    empty = columns_system(2, square + (Row((), (), "<=", -ONE, "extra", "never"),))
+    assert assert_lift_matches_oracles(empty) == []
+    # 0 >= 0 is tight at every vertex, and 0 <= 1 at none
+    system = columns_system(2, (
+        Row((), (), ">=", ZERO, "extra", "always tight"),
+        Row((), (), "<=", ONE, "extra", "never tight"),
+    ) + square)
+    assert assert_lift_matches_oracles(system) == [
+        (ZERO, ZERO), (ZERO, ONE), (ONE, ZERO), (ONE, ONE)
+    ]
+    for vertex in system.enumerate_vertices().vertices:
+        assert 0 in vertex.tight and 1 not in vertex.tight
+
+
+def test_lift_with_a_repeated_sign_row():
+    # the triangle with x2 >= 0 given twice: the first copy holds x2 at 0
+    # until its lift, the second goes in as an ordinary row after it
+    base = triangle_system()
+    repeat = Row((2,), (ONE,), ">=", ZERO, "nonneg", "z again")
+    system = ConstraintSystem(base.columns, base.column_names, base.rows + (repeat,))
+    points = assert_lift_matches_oracles(system)
+    assert points == [v.point for v in base.enumerate_vertices().vertices]
+    tight = {v.point: v.tight for v in system.enumerate_vertices().vertices}
+    assert tight[(ONE, ZERO, ZERO)] == (0, 2, 4, 5, 6)
+
+
 def report_digest(instances):
     h = hashlib.sha256()
     for inst in instances:
@@ -389,9 +489,10 @@ def test_vertices_do_not_depend_on_insertion_order():
 
 def test_wide_draw_stays_cheap():
     # a 24-column 5x5 draw: inserting rows in system order (every degree
-    # row, then every stability row) took about 28 s on it; inserting
-    # them by last column takes about 0.04 s of CPU (2-core VM, Python
-    # 3.11.7), against 0.06 s with the earlier third-vertex scan
+    # row, then every stability row) takes about 13 s on it; inserting
+    # them by last column, each column lifted as its first row enters,
+    # takes about 0.009 s of CPU (2-core VM, Python 3.11.7), against
+    # 0.07 s with a spike seeded for every column at the start
     inst = list(itertools.islice(random_instances(5, 5, 0.9, seed=3), 5))[-1]
     system = build_system(inst)
     assert len(system.columns) == 24
