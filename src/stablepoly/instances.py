@@ -30,14 +30,6 @@ class Edge(NamedTuple):
     a: int
     b: int
 
-    @property
-    def a_node(self) -> NodeId:
-        return NodeId(SIDE_A, self.a)
-
-    @property
-    def b_node(self) -> NodeId:
-        return NodeId(SIDE_B, self.b)
-
 
 class InstanceError(ValueError):
     """Raised when serialized instance data cannot be interpreted."""
@@ -95,12 +87,6 @@ class Instance:
 
     # -- basic queries -------------------------------------------------
 
-    def nodes(self) -> Iterator[NodeId]:
-        for i in range(self.a_count):
-            yield NodeId(SIDE_A, i)
-        for j in range(self.b_count):
-            yield NodeId(SIDE_B, j)
-
     def node_name(self, node: NodeId) -> str:
         names = self.a_names if node.side == SIDE_A else self.b_names
         return names[node.index]
@@ -115,42 +101,10 @@ class Instance:
     def edge_name(self, edge: Edge) -> str:
         return f"{self.a_names[edge.a]} {self.b_names[edge.b]}"
 
-    def has_edge(self, u: NodeId, v: NodeId) -> bool:
-        if u.side == v.side:
-            return False
-        a, b = (u, v) if u.side == SIDE_A else (v, u)
-        return Edge(a.index, b.index) in self.edges
-
     def canonical_edges(self) -> tuple[Edge, ...]:
         return tuple(sorted(self.edges))
 
     # -- preference queries ---------------------------------------------
-
-    def rank(self, node: NodeId, other: NodeId) -> int:
-        """Position of ``other`` in ``node``'s list, 0 for the favourite.
-
-        Raises ``ValueError`` unless the nodes sit on opposite sides, both
-        indices are in range and ``node`` lists ``other``.
-        """
-        if node.side == SIDE_A and other.side == SIDE_B:
-            table, other_count = self.a_rank, self.b_count
-        elif node.side == SIDE_B and other.side == SIDE_A:
-            table, other_count = self.b_rank, self.a_count
-        else:
-            raise ValueError(f"{node} and {other} are not on opposite sides")
-        if 0 <= node.index < len(table) and 0 <= other.index < other_count:
-            position = table[node.index].get(other.index)
-            if position is not None:
-                return position
-        raise ValueError(f"{other} is not ranked by {node}")
-
-    def prefers(self, node: NodeId, first: NodeId, second: NodeId) -> bool:
-        """True when ``node`` strictly prefers ``first`` over ``second``.
-
-        Both must be ranked by ``node``: ``rank`` raises ``ValueError``
-        otherwise.
-        """
-        return self.rank(node, first) < self.rank(node, second)
 
     @cached_property
     def cover_sets(self) -> dict[Edge, frozenset[Edge]]:
@@ -394,9 +348,9 @@ def parse_weights(data: object, instance: Instance) -> dict[Edge, Fraction]:
             v = instance.node_by_name(parts[1])
         except KeyError as exc:
             raise InstanceError(f"weight key {key!r} names an unknown node") from exc
-        if u.side != SIDE_A or v.side != SIDE_B or not instance.has_edge(u, v):
-            raise InstanceError(f"weight key {key!r} is not an edge of the instance")
         edge = Edge(u.index, v.index)
+        if u.side != SIDE_A or v.side != SIDE_B or edge not in instance.edges:
+            raise InstanceError(f"weight key {key!r} is not an edge of the instance")
         if edge in weights:
             raise InstanceError(f"duplicate weight for edge {key!r}")
         try:

@@ -11,7 +11,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .instances import SIDE_A, SIDE_B, Edge, Instance, NodeId
+from .instances import SIDE_A, SIDE_B, Edge, Instance
 
 
 @dataclass(frozen=True)
@@ -60,12 +60,6 @@ class Matching:
                 raise ValueError(f"pair {names!r} is repeated")
             edges.add(edge)
         return cls(frozenset(edges))
-
-    def partner(self, node: NodeId) -> NodeId | None:
-        """The node matched to ``node``, or None; a scan of the edges."""
-        if node.side == SIDE_A:
-            return next((e.b_node for e in self.edges if e.a == node.index), None)
-        return next((e.a_node for e in self.edges if e.b == node.index), None)
 
     def sorted_edges(self) -> tuple[Edge, ...]:
         return tuple(sorted(self.edges))
@@ -210,19 +204,22 @@ def gale_shapley(instance: Instance, proposing_side: str = SIDE_A) -> Matching:
 def matchings_iter(instance: Instance) -> Iterator[Matching]:
     """Every matching of the instance, the empty one included."""
     edges = instance.canonical_edges()
+    # the a-indices and the b-indices the chosen edges cover
+    used_a: set[int] = set()
+    used_b: set[int] = set()
 
-    def extend(start: int, used: set[NodeId], chosen: list[Edge]) -> Iterator[Matching]:
+    def extend(start: int, chosen: list[Edge]) -> Iterator[Matching]:
         yield Matching(frozenset(chosen))
         for k in range(start, len(edges)):
             e = edges[k]
-            if e.a_node in used or e.b_node in used:
+            if e.a in used_a or e.b in used_b:
                 continue
-            used.add(e.a_node)
-            used.add(e.b_node)
+            used_a.add(e.a)
+            used_b.add(e.b)
             chosen.append(e)
-            yield from extend(k + 1, used, chosen)
+            yield from extend(k + 1, chosen)
             chosen.pop()
-            used.remove(e.a_node)
-            used.remove(e.b_node)
+            used_a.remove(e.a)
+            used_b.remove(e.b)
 
-    yield from extend(0, set(), [])
+    yield from extend(0, [])

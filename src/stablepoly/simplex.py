@@ -40,37 +40,42 @@ the entries on the support of ``b`` (its nonzero entries) change, as
 over ``p``; off the support ``b[j] == 0``, so the new entry is ``p*a[j]
 // den``, and zero where ``a[j]`` is; only the entries on the support
 take the full formula. The pivot element is the entering variable's
-entry in ``b``, an artificial's read off its twin (below); the ratio
+entry in ``b``, an artificial's read off its surplus (below); the ratio
 test admits only positive ones, so only a clean-up pivot after phase
 one, which enters a real column, can have ``p < 0``. Negating ``b``
 first negates exactly the rows the pivot rewrites and keeps every
-denominator positive. Phase two takes the rows as they stand, without
-the stored artificial columns, and its reduced costs start from ``d *
-cost`` minus each basic row, brought to ``d``, times its variable's
-cost; only the rows of a variable with nonzero cost are brought there.
+denominator positive. Phase two takes the rows as they stand, and its
+reduced costs start from ``d * cost`` minus each basic row, brought to
+``d``, times its variable's cost; only the rows of a variable with
+nonzero cost are brought there.
 
-Phase one stores no column for the artificial of a ``>=`` row. That
-artificial starts as ``+e_i`` and the row's surplus as ``-e_i``; row
-operations and positive row scalings keep the two exact negatives in
-every constraint row, and their reduced costs add up to the
-artificial's weight, its cost in phase one. So the artificial is read
-off its twin, the surplus column. An ``=`` row's artificial has no twin
-and keeps a column, stored after the slacks. Every stored column costs
-zero in phase one, and each artificial is ``(column, sign, base)``: its
-entry in a constraint row ``a`` is ``sign * a[column]``, and its reduced
-cost, over the cost row's denominator ``den``, is ``base * den + sign *
-c[column]``, with ``base`` its weight and ``sign`` -1 for a twin, 1 for
-a stored column. Entering at row ``r`` eliminates ``a[column]`` (in the
-cost row with ``sign * base * den`` added) against ``sign * b`` and
-leaves ``b`` as the new row ``r``; that is the pivot on the artificial's
-own column, so the tableau is the one that stores it. Bland's rule
-takes the lowest real column of negative reduced cost and, when there
-is none, the first such artificial in label order, the order of the
-columns a tableau with every artificial stored would scan. The basis
-holds each artificial by its own label, after the real columns, so the
-ratio tie-break, the infeasibility test, the clean-up, the dropped rows
-and phase two all read it as before. An artificial that has left the
-basis can enter again under Bland's rule, so none is dropped early.
+The relations are ``<=`` and ``>=``, the two a constraint system's
+``Row`` can hold; an equality is written as a ``<=``/``>=`` pair. Row
+``i``'s slack or surplus is column ``num_vars + i``, and every column the
+tableau stores is a real one. A ``>=`` row (after a negative right-hand
+side is flipped) needs an artificial in phase one, and no column is
+stored for it. The artificial starts as ``+e_i`` and the row's surplus
+as ``-e_i``; row operations and positive row scalings keep the two exact
+negatives in every constraint row, and their reduced costs add up to the
+artificial's weight, its cost in phase one. So each artificial is
+``(column, base)``, its surplus column and its weight, which is
+positive (a real column reads as ``(itself, 0)``): its entry in a
+constraint row ``a`` is ``-a[column]``, and its reduced cost, over the
+cost row's denominator ``den``, is ``base * den - c[column]``. Entering
+at row ``r`` eliminates ``a[column]`` (in the cost row with ``base *
+den`` subtracted) against ``-b`` and leaves ``b`` as the new row ``r``;
+that is the pivot on the artificial's own column, so the tableau is the
+one that stores it. Bland's rule takes the lowest real column of
+negative reduced cost and, when there is none, the first such
+artificial in label order, the order of the columns a tableau with
+every artificial stored would scan. The basis holds each artificial by
+its own label, ``num_vars + m`` on in row order, after the real
+columns, so the ratio tie-break, the infeasibility test and the
+clean-up all read it as before. An artificial that has left the basis
+can enter again under Bland's rule, so none is dropped early. A
+leftover basic artificial has its surplus, a real column, nonzero in
+its row, so the clean-up always finds a real column to pivot on and no
+row is ever redundant.
 
 Bland's entering test reads only the signs of the cost row, and the
 ratio test compares ``rhs / coeff`` within each row; a positive scale of
@@ -92,8 +97,8 @@ from .linalg import scale_to_integers
 ZERO = Fraction(0)
 
 Constraint = tuple[Sequence[tuple[int, int | Fraction]], str, int | Fraction]
-# an artificial of phase one as (stored column, sign, base); see _pivot
-_Artificial = tuple[int, int, int]
+# an artificial of phase one as (surplus column, base); see _pivot
+_Artificial = tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -115,35 +120,34 @@ def _pivot(
 
     Row ``i`` stands for ``tableau[i] / dens[i]``, and ``d`` is the
     common denominator of the last pivot. ``enter`` is a stored column,
-    or a label of ``artificials``, whose ``(column, sign, base)`` reads
-    the artificial's entry off a stored column: ``sign * a[column]`` in
-    each constraint row ``a``, and ``base * den + sign * c[column]`` in
-    the cost row ``c`` (last, over ``den``). The pivot row is stored as
-    it reads, over ``p``, so an entering artificial is basic at ``+1``.
-    Rows where the entering variable's entry is zero are left as they
-    are, list and denominator; a row whose denominator ``p`` divides
-    keeps its list and denominator and changes on the pivot row's
-    support only; any other row is rewritten over ``p``.
+    or a label of ``artificials``, whose ``(column, base)`` reads the
+    artificial's entry off its surplus column: ``-a[column]`` in each
+    constraint row ``a``, and ``base * den - c[column]`` in the cost row
+    ``c`` (last, over ``den``). The pivot row is stored as it reads,
+    over ``p``, so an entering artificial is basic at ``+1``. Rows where
+    the entering variable's entry is zero are left as they are, list and
+    denominator; a row whose denominator ``p`` divides keeps its list and
+    denominator and changes on the pivot row's support only; any other
+    row is rewritten over ``p``.
     """
-    col, sign, base = artificials.get(enter, (enter, 1, 0))
+    col, base = artificials.get(enter, (enter, 0))
     pivot_row = tableau[row]
     if dens[row] != d:
         pivot_row = [x * d // dens[row] for x in pivot_row]
-    p = sign * pivot_row[col]
+    p = -pivot_row[col] if base else pivot_row[col]
     if p < 0:
         pivot_row = [-x for x in pivot_row]
         p = -p
-    # A row meets the entering variable as sign * a[col], the cost row as
-    # base * den + sign * c[col]; eliminating that against the pivot row
-    # is eliminating a[col], plus sign * base * den in the cost row,
-    # against sign * pivot_row.
-    elim = pivot_row if sign > 0 else [-x for x in pivot_row]
+    # A row meets an artificial as -a[col], the cost row as base * den -
+    # c[col]; eliminating that against the pivot row is eliminating
+    # a[col], less base * den in the cost row, against -pivot_row.
+    elim = [-x for x in pivot_row] if base else pivot_row
     support = [(j, b) for j, b in enumerate(elim) if b]
     last = len(tableau) - 1
     for r, other in enumerate(tableau):
         f = other[col]
         if base and r == last:
-            f += sign * base * dens[r]
+            f -= base * dens[r]
         if not f or r == row:
             continue
         den = dens[r]
@@ -167,38 +171,39 @@ def _iterate(
     tableau: list[list[int]],
     dens: list[int],
     basis: list[int],
-    usable: int,
     d: int,
     artificials: dict[int, _Artificial],
 ) -> tuple[str, int]:
     """Run simplex steps until optimal or unbounded; the status and new ``d``.
 
     The last row of ``tableau`` is the cost row: reduced costs over the
-    first ``usable`` columns, times a positive constant; the sense is
-    minimization. The artificials of phase one, labelled from ``usable``
-    on, are read off stored columns as ``_pivot`` reads them. Bland's
-    rule takes the lowest of the ``usable`` columns with a negative
-    reduced cost, else the lowest-labelled such artificial. Every
-    denominator is positive, so every sign read here is the rational one.
+    stored columns, times a positive constant; the sense is
+    minimization. The artificials of phase one, labelled after the
+    stored columns, are read off their surplus columns as ``_pivot``
+    reads them. Bland's rule takes the lowest stored column with a
+    negative reduced cost, else the lowest-labelled such artificial.
+    Every denominator is positive, so every sign read here is the
+    rational one.
     """
     m = len(basis)
+    width = len(tableau[-1]) - 1
     while True:
         cost = tableau[-1]
-        enter = next((j for j in range(usable) if cost[j] < 0), None)
+        enter = next((j for j in range(width) if cost[j] < 0), None)
         if enter is None:
             den = dens[-1]
             enter = next(
-                (k for k, (j, sign, base) in artificials.items() if base * den + sign * cost[j] < 0),
+                (k for k, (j, base) in artificials.items() if base * den - cost[j] < 0),
                 None,
             )
             if enter is None:
                 return "optimal", d
-        col, sign, _ = artificials.get(enter, (enter, 1, 0))
+        col, base = artificials.get(enter, (enter, 0))
         best_row = -1
         best_rhs = best_coeff = 0
         for i in range(m):
             row = tableau[i]
-            coeff = row[col] if sign > 0 else -row[col]
+            coeff = -row[col] if base else row[col]
             if coeff > 0:
                 if best_row >= 0:
                     # rhs/coeff against best_rhs/best_coeff, both coeffs positive
@@ -220,11 +225,13 @@ def solve_lp(
 ) -> LpResult:
     """Optimize a linear objective over the given constraints.
 
-    Constraints are (sparse terms, relation, rhs) with relation one of
-    "<=", ">=", "="; every variable is additionally held nonnegative.
-    Coefficients, right-hand sides and objective entries may be ``int``
-    or ``Fraction``, mixed freely within a row or the objective; a
-    ``float`` anywhere raises ``AttributeError``.
+    Constraints are (sparse terms, relation, rhs) with relation "<=" or
+    ">="; any other relation, "=" included, raises ``ValueError``, so an
+    equality is given as a "<=" row and a ">=" row. Every variable is
+    additionally held nonnegative. Coefficients, right-hand sides and
+    objective entries may be ``int`` or ``Fraction``, mixed freely
+    within a row or the objective; a ``float`` anywhere raises
+    ``AttributeError``.
     """
     if sense not in ("max", "min"):
         raise ValueError(f"unknown sense {sense!r}")
@@ -233,14 +240,15 @@ def solve_lp(
     cost_vec, _ = scale_to_integers([-c for c in objective] if sense == "max" else objective)
 
     m = len(constraints)
-    # every row has a slack or a stored artificial, so the tableau has
-    # num_vars + m columns and the right-hand side
+    # row i's slack or surplus is column num_vars + i, so the tableau has
+    # num_vars + m columns and the right-hand side; the artificials are
+    # labelled from width on
     width = num_vars + m
     tableau: list[list[int]] = []
     scales: list[int] = []
     relations: list[str] = []
     for terms, relation, rhs in constraints:
-        if relation not in ("<=", ">=", "="):
+        if relation not in ("<=", ">="):
             raise ValueError(f"unknown relation {relation!r}")
         scale = math.lcm(rhs.denominator, *[c.denominator for _, c in terms])
         row = [0] * (width + 1)
@@ -251,38 +259,27 @@ def solve_lp(
         row[-1] = rhs.numerator * (scale // rhs.denominator)
         if rhs < 0:
             row = [-x for x in row]
-            relation = {"<=": ">=", ">=": "<=", "=": "="}[relation]
+            relation = ">=" if relation == "<=" else "<="
         tableau.append(row)
         scales.append(scale)
         relations.append(relation)
 
-    slack_count = sum(1 for rel in relations if rel in ("<=", ">="))
-    art_start = num_vars + slack_count
-    # Phase one minimizes the sum of the artificials. Row i's artificial
-    # is counted in units of 1/scales[i], so it costs lcm/scales[i]; only
-    # an = row's artificial is stored, a >= row's is its surplus negated.
-    lcm = math.lcm(*[scales[i] for i in range(m) if relations[i] != "<="])
+    # Phase one minimizes the sum of the artificials, one per >= row, its
+    # surplus negated. Row i's artificial is counted in units of
+    # 1/scales[i], so it costs lcm/scales[i].
+    lcm = math.lcm(*[scales[i] for i in range(m) if relations[i] == ">="])
 
     basis: list[int] = []
     artificials: dict[int, _Artificial] = {}
-    next_slack = num_vars
-    next_stored = art_start
     for i, row in enumerate(tableau):
+        col = num_vars + i
         if relations[i] == "<=":
-            row[next_slack] = 1
-            basis.append(next_slack)
-            next_slack += 1
+            row[col] = 1
+            basis.append(col)
         else:
-            if relations[i] == ">=":
-                row[next_slack] = -1
-                col, sign = next_slack, -1
-                next_slack += 1
-            else:
-                row[next_stored] = 1
-                col, sign = next_stored, 1
-                next_stored += 1
-            label = art_start + len(artificials)
-            artificials[label] = (col, sign, lcm // scales[i])
+            row[col] = -1
+            label = width + len(artificials)
+            artificials[label] = (col, lcm // scales[i])
             basis.append(label)
 
     # Row i stands for tableau[i] / dens[i]; the cost row is appended
@@ -296,43 +293,31 @@ def solve_lp(
         # times its weight.
         phase1 = [0] * (width + 1)
         for i in range(m):
-            if basis[i] >= art_start:
-                weight = artificials[basis[i]][2]
+            if basis[i] >= width:
+                weight = artificials[basis[i]][1]
                 phase1 = [a - weight * b for a, b in zip(phase1, tableau[i])]
         tableau.append(phase1)
         dens.append(1)
-        status, d = _iterate(tableau, dens, basis, art_start, d, artificials)
+        status, d = _iterate(tableau, dens, basis, d, artificials)
         if status != "optimal":
             raise AssertionError("phase one cannot be unbounded")
         tableau.pop()
         dens.pop()
-        if any(tableau[i][-1] != 0 for i in range(m) if basis[i] >= art_start):
+        if any(tableau[i][-1] != 0 for i in range(m) if basis[i] >= width):
             return LpResult("infeasible", None, None)
-        # Pivot leftover artificials out on any real column (the element
-        # may be negative; _pivot keeps the denominators positive); a row
-        # with no real coefficients left is a redundant constraint and
-        # gets dropped.
-        drop: list[int] = []
+        # Pivot each leftover artificial out on the first real column that
+        # is nonzero in its row; its surplus is one. The element may be
+        # negative; _pivot keeps the denominators positive.
         for i in range(m):
-            if basis[i] < art_start:
-                continue
-            col = next((j for j in range(art_start) if tableau[i][j] != 0), None)
-            if col is None:
-                drop.append(i)
-            else:
+            if basis[i] >= width:
+                col = next(j for j in range(width) if tableau[i][j])
                 d = _pivot(tableau, dens, i, col, d, {})
                 basis[i] = col
-        for i in reversed(drop):
-            del tableau[i]
-            del basis[i]
-            del dens[i]
 
-    # Phase two takes the rows as they stand, less the stored artificial
-    # columns; its cost row is over d, so a basic row with a nonzero cost
-    # is brought to d (row * d // den, exact) as it is subtracted.
-    if width > art_start:
-        tableau = [row[:art_start] + row[-1:] for row in tableau]
-    full_cost = cost_vec + [0] * slack_count
+    # Phase two takes the rows as they stand; its cost row is over d, so
+    # a basic row with a nonzero cost is brought to d (row * d // den,
+    # exact) as it is subtracted.
+    full_cost = cost_vec + [0] * m
     reduced = [d * c for c in full_cost] + [0]
     for row, den, b in zip(tableau, dens, basis):
         weight = full_cost[b]
@@ -341,7 +326,7 @@ def solve_lp(
             reduced = [a - factor * x // den for a, x in zip(reduced, row)]
     tableau.append(reduced)
     dens.append(d)
-    status, d = _iterate(tableau, dens, basis, art_start, d, {})
+    status, d = _iterate(tableau, dens, basis, d, {})
     if status == "unbounded":
         return LpResult("unbounded", None, None)
 

@@ -321,9 +321,12 @@ def _fraction_iterate(tableau, basis, cost, usable, log):
 def fraction_solve_lp(num_vars, constraints, objective, sense="max", log=None):
     """Two-phase simplex on a dense Fraction tableau, Bland's rule.
 
-    The same contract as the library's solver: constraints are (sparse
-    terms, relation, rhs), variables are held nonnegative, and the
-    result has ``status``, ``point`` and ``value``. When ``log`` is a
+    Constraints are (sparse terms, relation, rhs), variables are held
+    nonnegative, and the result has ``status``, ``point`` and ``value``,
+    as in the library's solver. The relation may also be ``=``, which
+    the library's solver refuses: the midpoint LPs and
+    ``convex_decompose`` here are written with equalities, and an ``=``
+    row's artificial gets a column of its own. When ``log`` is a
     list, every pivot is appended to it as (kind, row, column, element),
     kind "step" for a simplex step and "cleanup" for an artificial
     driven out after phase one, and every redundant row dropped after

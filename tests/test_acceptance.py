@@ -369,20 +369,27 @@ def test_criterion_6_adjacency_implications(stable_lists, rich_lattices, announc
     assert ok, problems[:3]
 
 
+def _partners(matching, side):
+    """Each node of ``side`` that ``matching`` covers, by index, to its
+    partner's index."""
+    if side == SIDE_A:
+        return {e.a: e.b for e in matching.edges}
+    return {e.b: e.a for e in matching.edges}
+
+
 def test_criterion_7_proposer_optimality(complete_results, announce):
     checked = 0
     problems = []
     for result in complete_results:
         inst = result.instance
         for side in (SIDE_A, SIDE_B):
-            best = gale_shapley(inst, side)
+            rank = inst.a_rank if side == SIDE_A else inst.b_rank
+            best = _partners(gale_shapley(inst, side), side)
             for m in result.stable:
-                for node in inst.nodes():
-                    if node.side != side:
-                        continue
-                    mine = best.partner(node)
-                    other = m.partner(node)
-                    if mine != other and not inst.prefers(node, mine, other):
+                theirs = _partners(m, side)
+                for node in range(len(rank)):
+                    mine, other = best.get(node), theirs.get(node)
+                    if mine != other and not rank[node][mine] < rank[node][other]:
                         problems.append((inst, side, node))
         checked += 1
     ok = not problems

@@ -69,9 +69,11 @@ def test_removed_names_stay_removed():
         mod = importlib.import_module(module)
         for name in ("Witness", "removed_edge_witness", "remove_edge"):
             assert not hasattr(mod, name), f"{module}.{name}"
-    assert not hasattr(stablepoly.Edge, "other")
-    assert not hasattr(stablepoly.Instance, "neighbors")
-    assert not hasattr(stablepoly.Instance, "better_edges")
+    for name in ("other", "a_node", "b_node"):
+        assert not hasattr(stablepoly.Edge, name), f"Edge.{name}"
+    for name in ("neighbors", "better_edges", "nodes", "has_edge", "rank", "prefers"):
+        assert not hasattr(stablepoly.Instance, name), f"Instance.{name}"
+    assert not hasattr(stablepoly.Matching, "partner")
     assert not hasattr(stablepoly.lattice, "swap")
     assert not hasattr(stablepoly.Decomposition, "flip_to_favour_a")
     assert not hasattr(stablepoly.Decomposition, "flip_to_favour_b")

@@ -25,12 +25,6 @@ from corpora import draw
 from oracles import cover_pairs, edge_pairs
 
 
-def test_edge_endpoints():
-    e = Edge(2, 5)
-    assert e.a_node == NodeId(SIDE_A, 2)
-    assert e.b_node == NodeId(SIDE_B, 5)
-
-
 def test_names_default_and_lookup(opposed2):
     assert opposed2.a_names == ("a1", "a2")
     assert opposed2.b_names == ("b1", "b2")
@@ -48,21 +42,6 @@ def test_edges_require_mutual_listing():
     problems = validate(inst)
     assert any("mismatch" in p for p in problems)
     assert validate(inst)
-
-
-def test_prefers_compares_ranks(opposed2):
-    a1, a2 = NodeId(SIDE_A, 0), NodeId(SIDE_A, 1)
-    b1, b2 = NodeId(SIDE_B, 0), NodeId(SIDE_B, 1)
-    assert opposed2.prefers(a1, b1, b2)
-    assert not opposed2.prefers(a1, b2, b1)
-    assert not opposed2.prefers(a1, b1, b1)
-    assert opposed2.prefers(b1, a2, a1)
-    assert not opposed2.prefers(b1, a1, a2)
-    # a one-sided listing keeps its position: a1 ranks b2 first
-    lopsided = Instance(2, 2, ((1, 0), (1,)), ((0,), (1,)))
-    assert lopsided.prefers(a1, b2, b1)
-    with pytest.raises(ValueError):
-        opposed2.prefers(a1, b1, NodeId(SIDE_B, 2))
 
 
 def test_cover_sets_match_oracle():
@@ -86,29 +65,6 @@ def test_cover_members_are_the_instances_own_edges():
         own = {id(e) for e in inst.edges}
         assert {id(e) for e in inst.cover_sets} <= own
         assert all(id(f) in own for cover in inst.cover_sets.values() for f in cover)
-
-
-def test_rank(opposed2):
-    a1 = NodeId(SIDE_A, 0)
-    b1, b2 = NodeId(SIDE_B, 0), NodeId(SIDE_B, 1)
-    assert opposed2.rank(a1, b1) == 0
-    assert opposed2.rank(a1, b2) == 1
-    # a1 lists b1 one-sidedly and keeps its position; a2 lists index 5
-    lopsided = Instance(2, 2, ((1, 0), (5,)), ((), (0,)))
-    assert lopsided.rank(a1, b1) == 1
-    refused = [
-        (opposed2, a1, NodeId(SIDE_A, 1)),  # same side
-        (opposed2, b2, NodeId(SIDE_B, 0)),
-        (lopsided, b1, a1),  # unranked
-        (opposed2, NodeId(SIDE_A, -1), b1),  # a tuple index of -1 wraps
-        (opposed2, a1, NodeId(SIDE_B, -1)),
-        (opposed2, NodeId(SIDE_A, 2), b1),  # out of range
-        (opposed2, a1, NodeId(SIDE_B, 9)),
-        (lopsided, NodeId(SIDE_A, 1), NodeId(SIDE_B, 5)),  # listed, out of range
-    ]
-    for inst, node, other in refused:
-        with pytest.raises(ValueError):
-            inst.rank(node, other)
 
 
 def test_validate_catches_bad_tables():

@@ -9,7 +9,15 @@ import pytest
 
 from stablepoly import lattice
 from stablepoly.adjacency import adjacency_verdict
-from stablepoly.instances import SIDE_A, SIDE_B, Edge, Instance, LimitError, random_instances
+from stablepoly.instances import (
+    SIDE_A,
+    SIDE_B,
+    Edge,
+    Instance,
+    LimitError,
+    NodeId,
+    random_instances,
+)
 from stablepoly.lattice import (
     SwapStabilityError,
     UniformityError,
@@ -37,7 +45,7 @@ def assert_closed_walk(comp):
     assert [n.side for n in nodes] == [SIDE_A, SIDE_B] * (len(nodes) // 2)
     for k, edge in enumerate(comp.edges):
         ends = {nodes[k], nodes[(k + 1) % len(nodes)]}
-        assert ends == {edge.a_node, edge.b_node}
+        assert ends == {NodeId(SIDE_A, edge.a), NodeId(SIDE_B, edge.b)}
 
 
 def pair_of(instance):
@@ -105,8 +113,10 @@ def test_stable_pairs_only_make_cycles():
             deco = decompose(inst, m1, m2)
             for comp in deco.components:
                 assert_closed_walk(comp)
-            covered = {n for e in m1.edges for n in (e.a_node, e.b_node)}
-            assert covered == {n for e in m2.edges for n in (e.a_node, e.b_node)}
+            covered = {n for e in m1.edges for n in (NodeId(SIDE_A, e.a), NodeId(SIDE_B, e.b))}
+            assert covered == {
+                n for e in m2.edges for n in (NodeId(SIDE_A, e.a), NodeId(SIDE_B, e.b))
+            }
 
 
 def test_mixed_component_raises_with_certificate():
@@ -287,11 +297,12 @@ def test_meet_join_every_a_node_prefers_join():
         stable = enumerate_stable(inst)
         for m1, m2 in itertools.combinations(stable, 2):
             meet, join = meet_join(inst, m1, m2)
+            tops = {e.a: e.b for e in join.edges}
+            bottoms = {e.a: e.b for e in meet.edges}
             for i in range(inst.a_count):
-                node = inst.node_by_name(inst.a_names[i])
-                top, bottom = join.partner(node), meet.partner(node)
+                top, bottom = tops.get(i), bottoms.get(i)
                 if top != bottom:
-                    assert inst.prefers(node, top, bottom)
+                    assert inst.a_rank[i][top] < inst.a_rank[i][bottom]
 
 
 def test_enumerate_stable_golden(opposed2, single_edge):

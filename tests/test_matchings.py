@@ -7,7 +7,6 @@ from stablepoly import matchings
 from stablepoly.instances import (
     Edge,
     Instance,
-    NodeId,
     SIDE_A,
     SIDE_B,
     exhaustive_complete,
@@ -75,12 +74,8 @@ def test_from_pairs_requires_instance_edges(opposed4):
         Matching.from_pairs(opposed4, [["a1", "b3"]])
 
 
-def test_partner_covers_roundtrip(opposed2):
+def test_sorted_edges_pairs_roundtrip(opposed2):
     m = Matching.from_edges([Edge(0, 0)])
-    a1, b1 = NodeId(SIDE_A, 0), NodeId(SIDE_B, 0)
-    assert m.partner(a1) == b1
-    assert m.partner(b1) == a1
-    assert m.partner(NodeId(SIDE_A, 1)) is None
     assert m.sorted_edges() == (Edge(0, 0),)
     assert m.to_pairs(opposed2) == [["a1", "b1"]]
     assert len(m) == 1
@@ -198,14 +193,13 @@ def test_gale_shapley_proposer_optimal():
     any other stable matching's assignment."""
     stream = random_instances(3, 3, 0.8, seed=403)
     for inst in itertools.islice(stream, 25):
-        best = gale_shapley(inst, SIDE_A)
+        best = {e.a: e.b for e in gale_shapley(inst, SIDE_A).edges}
         for pairs in stable_sets(inst):
-            rival = Matching.from_edges([Edge(i, j) for i, j in pairs])
+            rival = dict(pairs)
             for i in range(inst.a_count):
-                node = NodeId(SIDE_A, i)
-                got, other = best.partner(node), rival.partner(node)
+                got, other = best.get(i), rival.get(i)
                 if got != other:
-                    assert inst.prefers(node, got, other)
+                    assert inst.a_rank[i][got] < inst.a_rank[i][other]
 
 
 def test_matchings_iter_counts():

@@ -19,6 +19,16 @@ from oracles import filter_stable, fraction_solve_lp, midpoint_lp
 F = Fraction
 
 
+def _split(rows):
+    """``rows`` with each ``=`` row given as its <= row and its >= row,
+    where it stood: solve_lp takes an equality only as that pair."""
+    return [
+        (terms, rel, rhs)
+        for terms, relation, rhs in rows
+        for rel in (("<=", ">=") if relation == "=" else (relation,))
+    ]
+
+
 def test_max_two_vars():
     # max x + y st x + 2y <= 4, 3x + y <= 6: optimum at (8/5, 6/5)
     result = solve_lp(
@@ -53,10 +63,12 @@ def test_min_with_surplus():
 def test_equality_rows():
     result = solve_lp(
         3,
-        [
-            ([(0, F(1)), (1, F(1)), (2, F(1))], "=", F(1)),
-            ([(0, F(1)), (1, F(-1))], "=", F(0)),
-        ],
+        _split(
+            [
+                ([(0, F(1)), (1, F(1)), (2, F(1))], "=", F(1)),
+                ([(0, F(1)), (1, F(-1))], "=", F(0)),
+            ]
+        ),
         [F(0), F(0), F(1)],
     )
     assert result.status == "optimal"
@@ -105,13 +117,16 @@ def test_degenerate_cycling_guard():
 
 
 def test_redundant_equalities_driven_out():
-    # second row repeats the first; phase 1 must not report infeasible
+    # the second pair repeats the first; phase 1 must not report
+    # infeasible, and every artificial left basic is driven out
     result = solve_lp(
         2,
-        [
-            ([(0, F(1)), (1, F(1))], "=", F(1)),
-            ([(0, F(2)), (1, F(2))], "=", F(2)),
-        ],
+        _split(
+            [
+                ([(0, F(1)), (1, F(1))], "=", F(1)),
+                ([(0, F(2)), (1, F(2))], "=", F(2)),
+            ]
+        ),
         [F(1), F(0)],
     )
     assert result.status == "optimal"
@@ -119,7 +134,7 @@ def test_redundant_equalities_driven_out():
 
 
 def test_zero_objective_feasibility_probe():
-    result = solve_lp(2, [([(0, F(1)), (1, F(1))], "=", F(1))], [F(0), F(0)], "min")
+    result = solve_lp(2, _split([([(0, F(1)), (1, F(1))], "=", F(1))]), [F(0), F(0)], "min")
     assert result.status == "optimal"
     assert result.value == F(0)
 
@@ -294,7 +309,7 @@ def test_fractional_objective_value_in_caller_units():
     # the solver works with 6 * (x/3 + y/2); value is in the caller's units
     for sense, point, value in (("max", (F(0), F(1)), F(1, 2)), ("min", (F(1), F(0)), F(1, 3))):
         result = solve_lp(
-            2, [([(0, F(1)), (1, F(1))], "=", F(1))], [F(1, 3), F(1, 2)], sense
+            2, _split([([(0, F(1)), (1, F(1))], "=", F(1))]), [F(1, 3), F(1, 2)], sense
         )
         assert result.status == "optimal"
         assert result.point == point
@@ -309,7 +324,8 @@ def _rational(rng):
 
 
 def _random_lp(rng):
-    """A small LP over every relation; some rows are scaled repeats."""
+    """A small LP whose rows draw each relation, ``=`` included (the
+    callers split it with ``_split``); some rows are scaled repeats."""
     n = rng.randint(1, 5)
     rows = []
     for _ in range(rng.randint(0, 5)):
@@ -351,12 +367,12 @@ def pivots(monkeypatch):
         assert len(dens) == len(tableau) and all(den > 0 for den in dens)
         # the entering variable, an artificial by its own label, and the
         # sign of its element, read off its column as _pivot reads it
-        col, sign, _ = artificials.get(enter, (enter, 1, 0))
-        element = sign * tableau[row][col]
+        col, base = artificials.get(enter, (enter, 0))
+        element = -tableau[row][col] if base else tableau[row][col]
         taken.append((row, enter, element > 0))
         if dens[row] != d:
             taken.branches["stale pivot row"] += 1
-        if sign < 0:
+        if base:
             taken.branches["artificial read off its surplus"] += 1
         p = abs(element * d // dens[row])
         others = [dens[r] for r, a in enumerate(tableau) if r != row and a[col]]
@@ -388,15 +404,15 @@ def _assert_same(num_vars, constraints, objective, sense, pivots):
 
 
 def _reentries(num_vars, constraints, log):
-    """The relation of the row of each artificial that enters the basis
-    in a simplex step of the oracle's ``log``, as the row stands after a
-    negative right-hand side is flipped. Every artificial starts basic,
-    and phase two never enters one, so each is a phase-one re-entry."""
-    flip = {"<=": ">=", ">=": "<=", "=": "="}
-    relations = [flip[rel] if rhs < 0 else rel for _, rel, rhs in constraints]
-    art_start = num_vars + sum(1 for rel in relations if rel != "=")
-    owners = [rel for rel in relations if rel != "<="]
-    return [owners[c - art_start] for kind, _, c, _ in log if kind == "step" and c >= art_start]
+    """The label of each artificial that enters the basis in a simplex
+    step of the oracle's ``log``, for constraints without ``=``: each
+    row has a slack or surplus, so the artificials, one per ``>=`` row
+    as it stands after a negative right-hand side is flipped, are
+    labelled from ``num_vars + len(constraints)`` on. Every artificial
+    starts basic, and phase two never enters one, so each is a
+    phase-one re-entry."""
+    art_start = num_vars + len(constraints)
+    return [c for kind, _, c, _ in log if kind == "step" and c >= art_start]
 
 
 def test_random_lps_match_fraction_tableau(pivots):
@@ -406,19 +422,19 @@ def test_random_lps_match_fraction_tableau(pivots):
     relations = Counter()
     for _ in range(1500):
         n, rows, goal, sense = _random_lp(rng)
-        result, log = _assert_same(n, rows, goal, sense, pivots)
+        result, log = _assert_same(n, _split(rows), goal, sense, pivots)
         statuses[result.status] += 1
         events.update(kind for kind, *_ in log)
         events["negative cleanup"] += sum(
             1 for kind, _, _, element in log if kind == "cleanup" and element < 0
         )
-        events.update(f"{rel} re-entry" for rel in _reentries(n, rows, log))
         relations.update((rel, rhs < 0) for _, rel, rhs in rows)
     assert set(statuses) == {"optimal", "infeasible", "unbounded"}
-    assert events["negative cleanup"] and events["drop"]
+    assert events["negative cleanup"]
+    # a leftover artificial's row holds its surplus, so no row is redundant
+    assert events["drop"] == 0
     assert pivots.branches["pivot element divides the row's denominator"] >= 30
-    # an = row's artificial, stored in its own column, enters again
-    assert events["= re-entry"] >= 1
+    # every drawn relation, each sign of right-hand side, reaches the solvers
     assert set(relations) == {(rel, neg) for rel in ("<=", ">=", "=") for neg in (False, True)}
 
 
@@ -428,7 +444,8 @@ def test_integer_rows_match_fraction_tableau(pivots):
     # solve_lp's integer path at scale 1 beside Fraction rows at their
     # own scales; the pivots must be the Fraction tableau's, and the ones
     # the same rows take as Fractions (the unscaled rows are another
-    # phase one: its objective sums the artificials of the rows as given)
+    # phase one: its objective sums the artificials of the rows as given).
+    # Each drawn = row, scaled or not, goes in as its <=/>= pair.
     rng = random.Random(608)
     relations = Counter()
     for _ in range(600):
@@ -442,6 +459,7 @@ def test_integer_rows_match_fraction_tableau(pivots):
             ints = [(j, int(c * scale)) for j, c in terms]
             mixed.append((ints, relation, int(rhs * scale)))
             relations[relation, rhs < 0] += 1
+        mixed = _split(mixed)
         got, _ = _assert_same(n, mixed, goal, sense, pivots)
         int_pivots = list(pivots)
         pivots.clear()
@@ -463,6 +481,9 @@ def test_edge_cases_match_fraction_tableau(pivots):
     for sense in ("max", "min"):
         with pytest.raises(AttributeError, match="denominator"):
             solve_lp(2, rows, [0.1, F(0)], sense)
+    # an equality is a <=/>= pair: "=" is refused before any pivot
+    with pytest.raises(ValueError, match="unknown relation '='"):
+        solve_lp(2, [([(0, F(1))], "=", F(1))], [F(1), F(0)])
     assert pivots == []
     # unbounded along y, optimal at x = 2, then optimal on the line x + y = 1
     results = [
@@ -528,7 +549,7 @@ def test_stability_artificial_reenters_in_phase_one(monkeypatch, pivots):
     (args,) = calls
     result, log = _assert_same(*args, pivots)
     assert result.status == "optimal"
-    assert _reentries(args[0], args[1], log) == [">="]
+    assert len(_reentries(args[0], args[1], log)) == 1
     assert pivots.branches["artificial read off its surplus"]
 
 
@@ -588,11 +609,13 @@ def test_complete_5x5_optimize_lps_match_fraction_tableau(monkeypatch, pivots):
 
 def test_midpoint_lps_match_fraction_tableau(pivots, opposed4):
     # the rival LPs of the adjacency oracle: every stable pair of opposed4
-    # and of the cyclic Latin 4x4, each pair with two rivals
+    # and of the cyclic Latin 4x4, each pair with two rivals; the oracle
+    # writes its rows as equalities, and both solvers take them as pairs
     values = Counter()
     for inst in (opposed4, latin(4)):
         for p, q in combinations(filter_stable(inst), 2):
             pool, rows = midpoint_lp(inst, p, q)
+            rows = _split(rows)
             for k, rival in enumerate(pool):
                 if rival in (p, q):
                     continue
