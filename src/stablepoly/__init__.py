@@ -16,7 +16,6 @@ from .instances import (
     parse_weights,
     random_instance,
     random_instances,
-    validate,
 )
 from .lattice import (
     Component,
@@ -80,6 +79,5 @@ __all__ = [
     "random_instance",
     "random_instances",
     "solve_lp",
-    "validate",
     "verify_instance",
 ]

@@ -88,7 +88,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
     instance = load_instance(args.instance)
     matching = _load_matching(instance, args.matching)
     stable = is_stable(instance, matching)
-    blocking = [instance.edge_name(e) for e in blocking_pairs(instance, matching)]
+    # is_stable has run the scan and agreed with it; scan again only to name the pairs
+    blocking = []
+    if not stable:
+        blocking = [instance.edge_name(e) for e in blocking_pairs(instance, matching)]
     table = "stable" if stable else "unstable, blocked by: " + ", ".join(blocking)
     _emit({"stable": stable, "blocking": blocking}, args.format, table)
     return 0 if stable else 1

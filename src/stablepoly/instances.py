@@ -1,8 +1,10 @@
 """Bipartite preference instances.
 
-Nodes live on two sides A and B. Each node ranks a subset of the other
-side strictly, best first, and an edge exists exactly when both endpoints
-list each other. Being unmatched is always the least preferred outcome.
+Nodes live on two sides A and B. Each node ranks its incident edges
+strictly, best first, by listing the other endpoints: a pair is an edge
+exactly when both endpoints list each other, and every listing is an
+edge, so each preference list is its node's edge list. Being unmatched
+is always the least preferred outcome.
 """
 
 from __future__ import annotations
@@ -43,13 +45,16 @@ class LimitError(ValueError):
 class Instance:
     """A two-sided preference system.
 
-    ``a_prefs[i]`` lists the b-side indices node i ranks, best first;
-    ``b_prefs[j]`` the a-side indices node j ranks. Node names are kept
-    only for display and serialization and do not affect equality.
+    ``a_prefs[i]`` lists the b-side neighbours of node i, best first;
+    ``b_prefs[j]`` the a-side neighbours of node j. Every listing must be
+    in range, listed once, and returned by the other node, so ``edges``
+    is exactly the set of listings; any other table raises ``ValueError``
+    naming each fault. Node names are kept only for display and
+    serialization and do not affect equality.
 
-    ``a_rank[i]`` maps each b-side index that node i lists to its
-    position in ``a_prefs[i]``, 0 for the favourite; ``b_rank[j]`` does
-    the same for b-side node j. One-sided listings keep their position.
+    ``a_rank[i]`` maps each b-side neighbour of node i to its position in
+    ``a_prefs[i]``, 0 for the favourite; ``b_rank[j]`` does the same for
+    b-side node j.
     """
 
     a_count: int
@@ -71,19 +76,22 @@ class Instance:
             object.__setattr__(self, "b_names", tuple(f"b{j + 1}" for j in range(self.b_count)))
         if len(self.a_names) != self.a_count or len(self.b_names) != self.b_count:
             raise ValueError("name list size does not match node count")
+        a_rank = tuple({j: r for r, j in enumerate(p)} for p in self.a_prefs)
+        b_rank = tuple({i: r for r, i in enumerate(p)} for p in self.b_prefs)
+        # the mutual pairs number at most the listings of either side, and
+        # exactly that many only when no listing is out of range, repeated
+        # or one-sided
         edges = frozenset(
             Edge(i, j)
             for i, prefs in enumerate(self.a_prefs)
             for j in prefs
-            if 0 <= j < self.b_count and i in self.b_prefs[j]
+            if 0 <= j < self.b_count and i in b_rank[j]
         )
+        if not len(edges) == sum(map(len, self.a_prefs)) == sum(map(len, self.b_prefs)):
+            raise ValueError("; ".join(_table_problems(self)))
         object.__setattr__(self, "edges", edges)
-        object.__setattr__(
-            self, "a_rank", tuple({j: r for r, j in enumerate(p)} for p in self.a_prefs)
-        )
-        object.__setattr__(
-            self, "b_rank", tuple({i: r for r, i in enumerate(p)} for p in self.b_prefs)
-        )
+        object.__setattr__(self, "a_rank", a_rank)
+        object.__setattr__(self, "b_rank", b_rank)
 
     # -- basic queries -------------------------------------------------
 
@@ -113,40 +121,36 @@ class Instance:
         The cover of ab is ab itself, the edges at a that a prefers to b,
         and the edges at b that b prefers to a. A matching dominates ab
         when it meets this set, and is stable when it meets every one.
-        Each node's rank table is read once, best first, and every edge
-        at the node takes the edges already passed. Every member is one
-        of the instance's own ``edges`` objects, each cover's first entry.
+        Each node's list is walked once, best first, and every edge at
+        the node takes the edges already passed. Every member is one of
+        the instance's own ``edges`` objects, each cover's first entry.
         """
         covers: dict[Edge, list[Edge]] = {e: [e] for e in self.edges}
 
         def add(ranked: Iterable[Edge]) -> None:
             better: list[Edge] = []
             for e in ranked:
-                cover = covers.get(e)
-                if cover is not None:
-                    cover += better
-                    better.append(cover[0])
+                cover = covers[e]
+                cover += better
+                better.append(cover[0])
 
-        for i, ranks in enumerate(self.a_rank):
-            add(Edge(i, j) for j in sorted(ranks, key=ranks.__getitem__))
-        for j, ranks in enumerate(self.b_rank):
-            add(Edge(i, j) for i in sorted(ranks, key=ranks.__getitem__))
+        for i, prefs in enumerate(self.a_prefs):
+            add(Edge(i, j) for j in prefs)
+        for j, prefs in enumerate(self.b_prefs):
+            add(Edge(i, j) for i in prefs)
         return {e: frozenset(cover) for e, cover in covers.items()}
 
 
-def validate(instance: Instance) -> list[str]:
-    """Collect structural violations, empty when the instance is sound.
-
-    Checks index ranges, strictness of each order, and mutuality of the
-    listings. Cross-side references cannot be expressed in index form, so
-    only the JSON reader needs to reject those.
-    """
+def _table_problems(instance: Instance) -> list[str]:
+    """The faults of a refused table: each listing out of range or
+    repeated, side A first, then each one-sided listing. Built only to
+    explain why ``Instance`` refuses the table."""
     problems: list[str] = []
     sides = (
-        (SIDE_A, instance.a_prefs, instance.a_names, instance.b_count, instance.b_names),
-        (SIDE_B, instance.b_prefs, instance.b_names, instance.a_count, instance.a_names),
+        (instance.a_prefs, instance.a_names, instance.b_count, instance.b_names),
+        (instance.b_prefs, instance.b_names, instance.a_count, instance.a_names),
     )
-    for side, table, names, other_count, other_names in sides:
+    for table, names, other_count, other_names in sides:
         for i, prefs in enumerate(table):
             seen: set[int] = set()
             for j in prefs:
@@ -315,11 +319,14 @@ def instance_from_json(data: object) -> Instance:
 
     a_prefs = read_side(a_names, b_names)
     b_prefs = read_side(b_names, a_names)
-    instance = Instance(
-        len(a_names), len(b_names), tuple(a_prefs), tuple(b_prefs),
-        tuple(a_names), tuple(b_names),
-    )
-    problems.extend(validate(instance))
+    try:
+        instance = Instance(
+            len(a_names), len(b_names), tuple(a_prefs), tuple(b_prefs),
+            tuple(a_names), tuple(b_names),
+        )
+    except ValueError as exc:
+        # only one-sided listings reach here; the rows above drop the rest
+        problems.append(str(exc))
     if problems:
         raise InstanceError("; ".join(problems))
     return instance

@@ -27,7 +27,6 @@ from .matchings import (
     blocking_pairs,
     covers_every_edge,
     gale_shapley,
-    proposal_lists,
     routes_disagree,
 )
 
@@ -259,13 +258,12 @@ def enumerate_stable(instance: Instance, max_edges: int = MAX_STABLE_EDGES) -> l
 @lru_cache(maxsize=1)
 def _stable_lattice(instance: Instance) -> tuple[Matching, ...]:
     """The break-marriage walk of ``enumerate_stable``, sorted by edges."""
-    lists = proposal_lists(instance, SIDE_A)
-    b_rank = instance.b_rank
+    lists, a_rank, b_rank = instance.a_prefs, instance.a_rank, instance.b_rank
     start = gale_shapley(instance, SIDE_A)
     pos: list[int | None] = [None] * instance.a_count
     holder: list[int | None] = [None] * instance.b_count
     for edge in start.edges:
-        pos[edge.a] = lists[edge.a].index(edge.b)
+        pos[edge.a] = a_rank[edge.a][edge.b]
         holder[edge.b] = edge.a
     found: list[Matching] = []
 

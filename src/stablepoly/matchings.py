@@ -123,47 +123,24 @@ def is_stable(instance: Instance, matching: Matching) -> bool:
 def blocking_pairs(instance: Instance, matching: Matching) -> list[Edge]:
     """Edges whose endpoints would both rather have each other, sorted.
 
-    Each a-node's list is read only down to its partner's rank, since the
-    a-node wants no edge further down. A listing counts only at the
-    position its rank records, so an index listed twice is read once;
-    listings the b-node does not return are no edges and are skipped.
+    Each a-node's list is walked only down to its partner, since the
+    a-node wants no edge further down.
     """
     _require_subgraph(instance, matching)
     a_partner = {e.a: e.b for e in matching.edges}
     b_partner = {e.b: e.a for e in matching.edges}
-    a_rank, b_rank, b_count = instance.a_rank, instance.b_rank, instance.b_count
+    b_rank = instance.b_rank
     blocking = []
     for a, prefs in enumerate(instance.a_prefs):
-        ranks = a_rank[a]
         mine = a_partner.get(a)
-        for position in range(len(prefs) if mine is None else ranks[mine]):
-            b = prefs[position]
-            if ranks[b] != position:
-                continue
-            rank = b_rank[b].get(a) if 0 <= b < b_count else None
-            if rank is None:
-                continue
+        for b in prefs:
+            if b == mine:
+                break
             theirs = b_partner.get(b)
-            if theirs is None or rank < b_rank[b][theirs]:
+            if theirs is None or b_rank[b][a] < b_rank[b][theirs]:
                 blocking.append(Edge(a, b))
     blocking.sort()
     return blocking
-
-
-def proposal_lists(instance: Instance, side: str) -> list[tuple[int, ...]]:
-    """Each node's list on ``side`` cut down to its edges, best first.
-
-    One-sided listings and out-of-range indices are dropped, so every
-    entry indexes a node that ranks the lister back.
-    """
-    if side == SIDE_A:
-        prefs, other_rank = instance.a_prefs, instance.b_rank
-    else:
-        prefs, other_rank = instance.b_prefs, instance.a_rank
-    return [
-        tuple(j for j in row if 0 <= j < len(other_rank) and i in other_rank[j])
-        for i, row in enumerate(prefs)
-    ]
 
 
 def gale_shapley(instance: Instance, proposing_side: str = SIDE_A) -> Matching:
@@ -174,8 +151,10 @@ def gale_shapley(instance: Instance, proposing_side: str = SIDE_A) -> Matching:
     """
     if proposing_side not in (SIDE_A, SIDE_B):
         raise ValueError(f"unknown side {proposing_side!r}")
-    lists = proposal_lists(instance, proposing_side)
-    rank = instance.b_rank if proposing_side == SIDE_A else instance.a_rank
+    if proposing_side == SIDE_A:
+        lists, rank = instance.a_prefs, instance.b_rank
+    else:
+        lists, rank = instance.b_prefs, instance.a_rank
     held: list[int | None] = [None] * len(rank)
     next_choice = [0] * len(lists)
     free = deque(p for p, row in enumerate(lists) if row)

@@ -45,23 +45,20 @@ def latin(n):
     return Instance(n, n, a_prefs, b_prefs)
 
 
-def draw(rng, a_count, b_count, p, one_sided):
-    """Random lists over 0..count-1 per side; with probability
-    ``one_sided`` a pair is listed by only one of its endpoints."""
+def draw(rng, a_count, b_count, p):
+    """Random lists over 0..count-1 per side: each pair is an edge with
+    probability ``p``, listed by both ends, and every list is shuffled."""
     a_lists = [[] for _ in range(a_count)]
     b_lists = [[] for _ in range(b_count)]
     for i in range(a_count):
         for j in range(b_count):
             if rng.random() >= p:
                 continue
-            roll = rng.random()
-            if roll >= one_sided:
-                a_lists[i].append(j)
-                b_lists[j].append(i)
-            elif roll < one_sided / 2:
-                a_lists[i].append(j)
-            else:
-                b_lists[j].append(i)
+            # a second roll per pair that nothing reads: it keeps each
+            # seed's stream, so the pinned corpora keep their pairs
+            rng.random()
+            a_lists[i].append(j)
+            b_lists[j].append(i)
     for lst in a_lists + b_lists:
         rng.shuffle(lst)
     return Instance(

@@ -42,7 +42,6 @@ PUBLIC = [
     "random_instance",
     "random_instances",
     "solve_lp",
-    "validate",
     "verify_instance",
 ]
 
@@ -67,8 +66,9 @@ def test_public_names_are_pinned():
 def test_removed_names_stay_removed():
     for module in ("stablepoly", "stablepoly.adjacency", "stablepoly.instances"):
         mod = importlib.import_module(module)
-        for name in ("Witness", "removed_edge_witness", "remove_edge"):
+        for name in ("Witness", "removed_edge_witness", "remove_edge", "validate"):
             assert not hasattr(mod, name), f"{module}.{name}"
+    assert not hasattr(stablepoly.matchings, "proposal_lists")
     for name in ("other", "a_node", "b_node"):
         assert not hasattr(stablepoly.Edge, name), f"Edge.{name}"
     for name in ("neighbors", "better_edges", "nodes", "has_edge", "rank", "prefers"):

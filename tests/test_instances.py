@@ -18,7 +18,6 @@ from stablepoly.instances import (
     parse_weights,
     random_instance,
     random_instances,
-    validate,
 )
 
 from corpora import draw
@@ -36,22 +35,26 @@ def test_names_default_and_lookup(opposed2):
 
 
 def test_edges_require_mutual_listing():
-    # a1 lists b1 but b1 does not list a1: no edge, and validate says so
-    inst = Instance(1, 1, ((0,),), ((),))
-    assert inst.edges == frozenset()
-    problems = validate(inst)
-    assert any("mismatch" in p for p in problems)
-    assert validate(inst)
+    # a1 lists b1 but b1 does not list a1: no edge, so the table is refused
+    with pytest.raises(ValueError) as refused:
+        Instance(1, 1, ((0,),), ((),))
+    assert str(refused.value) == "edge/pref mismatch: a1 lists b1 but b1 does not list a1"
+    with pytest.raises(ValueError) as refused:
+        Instance(1, 1, ((),), ((0,),))
+    assert str(refused.value) == "edge/pref mismatch: b1 lists a1 but a1 does not list b1"
+    # in an accepted table every listing is an edge
+    inst = Instance(2, 2, ((1, 0), (0,)), ((0, 1), (0,)))
+    assert inst.edges == {Edge(0, 1), Edge(0, 0), Edge(1, 0)}
 
 
 def test_cover_sets_match_oracle():
-    """The covers read off the rank tables equal the ones cut from the raw
-    preference lists, also where one-sided listings sit in the lists."""
+    """The covers built by walking each list equal the ones the oracle
+    cuts from the preference lists by rank comparisons."""
     rng = random.Random(412)
-    one_sided = [draw(rng, 4, 4, 0.8, 0.3) for _ in range(60)]
-    lopsided = [draw(rng, 3, 5, 0.7, 0.5) for _ in range(30)]
+    square = [draw(rng, 4, 4, 0.8) for _ in range(60)]
+    lopsided = [draw(rng, 3, 5, 0.7) for _ in range(30)]
     plain = list(itertools.islice(random_instances(4, 3, 0.7, seed=413), 30))
-    for inst in itertools.chain(exhaustive_complete(2), one_sided, lopsided, plain):
+    for inst in itertools.chain(exhaustive_complete(2), square, lopsided, plain):
         covers = {tuple(e): {tuple(f) for f in cover} for e, cover in inst.cover_sets.items()}
         assert covers == cover_pairs(inst)
 
@@ -59,7 +62,7 @@ def test_cover_sets_match_oracle():
 def test_cover_members_are_the_instances_own_edges():
     # a cover holds the instance's Edge objects, not equal copies of them
     rng = random.Random(414)
-    instances = [draw(rng, 4, 4, 0.8, 0.3) for _ in range(20)]
+    instances = [draw(rng, 4, 4, 0.8) for _ in range(20)]
     instances += list(itertools.islice(random_instances(4, 3, 0.7, seed=415), 20))
     for inst in itertools.chain(exhaustive_complete(2), instances):
         own = {id(e) for e in inst.edges}
@@ -67,9 +70,32 @@ def test_cover_members_are_the_instances_own_edges():
         assert all(id(f) in own for cover in inst.cover_sets.values() for f in cover)
 
 
-def test_validate_catches_bad_tables():
-    assert validate(Instance(1, 2, ((0, 0),), ((0,), (0,)))) != []
-    assert validate(Instance(1, 1, ((3,),), ((0,),))) != []
+def test_constructor_refuses_bad_tables():
+    # each fault is named, side A's range and order faults first, then
+    # the one-sided listings of side A and of side B
+    for table, message in (
+        (
+            (1, 2, ((0, 0),), ((0,), (0,))),
+            "not a strict order: duplicate b1 in prefs of a1; "
+            "edge/pref mismatch: b2 lists a1 but a1 does not list b2",
+        ),
+        (
+            (1, 1, ((3,),), ((0,),)),
+            "unknown neighbour index 3 in prefs of a1; "
+            "edge/pref mismatch: b1 lists a1 but a1 does not list b1",
+        ),
+        (
+            (1, 1, ((0,),), ((0, 0),)),
+            "not a strict order: duplicate a1 in prefs of b1",
+        ),
+        (
+            (2, 1, ((0,), ()), ((0, -2),)),
+            "unknown neighbour index -2 in prefs of b1",
+        ),
+    ):
+        with pytest.raises(ValueError) as refused:
+            Instance(*table)
+        assert str(refused.value) == message
     with pytest.raises(ValueError):
         Instance(2, 1, ((0,),), ((0,),))
 
@@ -86,14 +112,13 @@ def test_exhaustive_complete_counts():
 def test_exhaustive_complete_all_distinct_and_valid():
     seen = set(itertools.islice(exhaustive_complete(2), 16))
     assert len(seen) == 16
-    assert all(not validate(inst) for inst in seen)
+    assert all(len(inst.edges) == 4 for inst in seen)
 
 
 def test_random_instance_edges_are_mutual():
     rng = random.Random(7)
     for _ in range(50):
         inst = random_instance(3, 4, 0.6, rng)
-        assert not validate(inst)
         assert sorted((e.a, e.b) for e in inst.edges) == edge_pairs(inst)
 
 

@@ -260,7 +260,7 @@ def test_meet_join_matches_component_flips():
     comparability flag against the components' leanings, on every stable
     pair of the rich lattices and of a fixed-seed 4x4 sample."""
     rng = random.Random(410)
-    sample = [draw(rng, 4, 4, 1.0, 0.0) for _ in range(200)]
+    sample = [draw(rng, 4, 4, 1.0) for _ in range(200)]
     pairs = mixed = 0
     for inst in [inst for _, inst in golden_instances()] + sample:
         limit = len(inst.edges)
@@ -385,12 +385,11 @@ def test_enumerate_stable_matches_oracle():
 def differential_corpus():
     rng = random.Random(409)
     for _ in range(2000):
-        one_sided = rng.choice((0.0, 0.0, 0.2))
-        yield draw(rng, rng.randint(0, 5), rng.randint(0, 5), rng.uniform(0.3, 1.0), one_sided)
+        yield draw(rng, rng.randint(0, 5), rng.randint(0, 5), rng.uniform(0.3, 1.0))
     for index in rng.sample(range(6**6), 300):
         yield complete3(index)
     for _ in range(60):
-        yield draw(rng, 5, 5, rng.uniform(0.6, 1.0), 0.0)
+        yield draw(rng, 5, 5, rng.uniform(0.6, 1.0))
     for k in (2, 3, 4):
         yield blocks(k)
     for n in (3, 4, 5):

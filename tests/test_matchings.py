@@ -110,23 +110,26 @@ def test_blocking_pairs_golden(opposed2, single_edge):
     assert blocking_pairs(single_edge, Matching.from_edges([])) == [Edge(0, 0)]
     assert blocking_pairs(single_edge, Matching.from_edges([Edge(0, 0)])) == []
     # a1 lists an index past b2 and one below b1, b2 lists a1 one-sidedly:
-    # none of these listings is an edge, and none is read as one
-    lopsided = Instance(2, 2, ((-1, 5, 0), (1,)), ((0,), (1, 0)))
-    assert blocking_pairs(lopsided, Matching.from_edges([])) == [Edge(0, 0), Edge(1, 1)]
-    assert blocking_pairs(lopsided, Matching.from_edges([Edge(0, 0)])) == [Edge(1, 1)]
+    # none of these listings is an edge, so the table never reaches a scan
+    with pytest.raises(ValueError) as refused:
+        Instance(2, 2, ((-1, 5, 0), (1,)), ((0,), (1, 0)))
+    assert str(refused.value) == (
+        "unknown neighbour index -1 in prefs of a1; "
+        "unknown neighbour index 5 in prefs of a1; "
+        "edge/pref mismatch: b2 lists a1 but a1 does not list b2"
+    )
 
 
 def test_blocking_pairs_match_oracle():
     """The scan that stops at each a-node's partner finds the same edges
     as a scan of every edge, on every matching of the instance, stable or
-    not and with unmatched nodes, also where one-sided listings shift the
-    rank positions."""
+    not and with unmatched nodes."""
     rng = random.Random(409)
     complete = [complete3(k) for k in rng.sample(range(6**6), 120)]
-    one_sided = [draw(rng, 4, 4, 0.8, 0.3) for _ in range(40)]
+    drawn = [draw(rng, 4, 4, 0.8) for _ in range(40)]
     plain = list(itertools.islice(random_instances(4, 4, 0.7, seed=410), 20))
     scanned = 0
-    for inst in complete + one_sided + plain:
+    for inst in complete + drawn + plain:
         for m in matchings_iter(inst):
             pairs = [(e.a, e.b) for e in m.edges]
             assert blocking_pairs(inst, m) == [Edge(*p) for p in blocking_pairs_of(inst, pairs)]
@@ -136,32 +139,36 @@ def test_blocking_pairs_match_oracle():
 
 def test_stability_routes_agree_everywhere():
     """The covering test, the blocking-pair scan, and the oracle coincide,
-    also on 4x4 draws where one-sided listings shift the rank positions."""
+    on 3x3 and on 4x4 draws."""
     rng = random.Random(402)
-    one_sided = (draw(rng, 4, 4, 0.8, 0.3) for _ in range(30))
+    drawn = (draw(rng, 4, 4, 0.8) for _ in range(30))
     stream = random_instances(3, 3, 0.7, seed=401)
-    for inst in itertools.chain(itertools.islice(stream, 40), one_sided):
+    for inst in itertools.chain(itertools.islice(stream, 40), drawn):
         for m in matchings_iter(inst):
             verdict = is_stable(inst, m)
             pairs = {(e.a, e.b) for e in m.edges}
             assert verdict == is_stable_pairs(inst, pairs)
 
 
-def test_repeated_listing_counts_at_its_rank():
-    """An index listed twice ranks at its last listing, in the covers and
-    in the blocking scan alike, so the two routes agree on such lists too
-    (``validate`` rejects them, ``Instance`` does not)."""
-    inst = Instance(1, 2, ((1, 0, 1),), ((0,), (0,)))
-    assert blocking_pairs(inst, Matching.from_edges([Edge(0, 0)])) == []
-    assert is_stable(inst, Matching.from_edges([Edge(0, 0)]))
-    assert blocking_pairs(inst, Matching.from_edges([Edge(0, 1)])) == [Edge(0, 0)]
+def test_repeated_listing_is_refused():
+    """A list that names b2 twice is no strict order over edges. Read at
+    one rank in the covers and at another in deferred acceptance, such a
+    list once made ``gale_shapley`` return a matching that ``is_stable``
+    called unstable; the table is refused instead, naming the duplicate."""
+    with pytest.raises(ValueError) as refused:
+        Instance(1, 2, ((1, 0, 1),), ((0,), (0,)))
+    assert str(refused.value) == "not a strict order: duplicate b2 in prefs of a1"
     rng = random.Random(411)
     for _ in range(200):
-        drawn = draw(rng, 3, 3, 0.8, 0.2)
+        drawn = draw(rng, 3, 3, 0.8)
         a_prefs = tuple(row + row[:1] for row in drawn.a_prefs)
-        inst = Instance(3, 3, a_prefs, drawn.b_prefs)
-        for m in matchings_iter(inst):
-            is_stable(inst, m)
+        with pytest.raises(ValueError) as refused:
+            Instance(3, 3, a_prefs, drawn.b_prefs)
+        assert str(refused.value) == "; ".join(
+            f"not a strict order: duplicate b{row[0] + 1} in prefs of a{i + 1}"
+            for i, row in enumerate(drawn.a_prefs)
+            if row
+        )
 
 
 def test_is_stable_raises_when_routes_disagree(opposed2, monkeypatch):

@@ -478,7 +478,7 @@ def test_vertices_do_not_depend_on_insertion_order():
     assert golden == 23
     drawn = 0
     while drawn < 100:
-        inst = draw(rng, rng.randint(1, 4), rng.randint(1, 4), 0.7, 0.2)
+        inst = draw(rng, rng.randint(1, 4), rng.randint(1, 4), 0.7)
         system = build_system(inst)
         if len(system.columns) <= 10:
             assert_vertices_follow_relabelling(system, rng)
