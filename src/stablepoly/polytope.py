@@ -137,7 +137,20 @@ class ConstraintSystem:
     def optimize(
         self, weights: Mapping[Edge, Fraction] | Sequence[Fraction], sense: str = "max"
     ) -> LpResult:
+        """Optimize a linear objective over the system's rows, exactly.
+
+        ``weights`` is either a mapping from column edge to weight, where
+        a column left out weighs 0, or a sequence of one weight per
+        column, in column order. A mapping with a key that is not a
+        column raises ``ValueError`` naming those keys; a sequence of the
+        wrong length raises ``ValueError`` too. Weights are ``int`` or
+        ``Fraction``. ``sense`` is ``"max"`` (the default) or ``"min"``.
+        The result is ``solve_lp``'s: the point and the value of an
+        optimal vertex. When several vertices are optimal, the one
+        returned is the one Bland's rule reaches first.
+        """
         if isinstance(weights, Mapping):
+            self._refuse_non_columns(weights)
             objective = [weights.get(e, 0) for e in self.columns]
         else:
             objective = list(weights)
@@ -200,6 +213,7 @@ class ConstraintSystem:
     ) -> str:
         lines = []
         if objective is not None:
+            self._refuse_non_columns(objective)
             terms = " + ".join(
                 self._term(Fraction(objective.get(e, ZERO)), j)
                 for j, e in enumerate(self.columns)
@@ -212,6 +226,13 @@ class ConstraintSystem:
             )
             lines.append(f"{lhs if lhs else '0'} {row.relation} {row.rhs}  # {row.kind} {row.subject}")
         return "\n".join(lines) + "\n"
+
+    def _refuse_non_columns(self, weights: Mapping[Edge, Fraction]) -> None:
+        """Raise ``ValueError`` naming each key of ``weights`` that is not a column."""
+        columns = set(self.columns)
+        unknown = [key for key in weights if key not in columns]
+        if unknown:
+            raise ValueError(f"weights keyed by non-columns: {', '.join(map(repr, unknown))}")
 
     def _term(self, coeff: Fraction, col: int) -> str:
         name = f"x[{self.column_names[col]}]"

@@ -39,15 +39,22 @@ the entries on the support of ``b`` (its nonzero entries) change, as
 ``a[j]`` are integers. Otherwise the row becomes ``(p*a - f*b) // den``
 over ``p``; off the support ``b[j] == 0``, so the new entry is ``p*a[j]
 // den``, and zero where ``a[j]`` is; only the entries on the support
-take the full formula. The pivot element is the entering variable's
-entry in ``b``, an artificial's read off its surplus (below); the ratio
-test admits only positive ones, so only a clean-up pivot after phase
-one, which enters a real column, can have ``p < 0``. Negating ``b``
-first negates exactly the rows the pivot rewrites and keeps every
+take the full formula. A pivot element 1 divides every ``den``, so
+every row it changes is updated in place, as ``a[j] -= f*b[j]``: the
+quotient by 1 is skipped and the stored integers are the same. Most
+pivots on the rows of ``build_system``, whose entries are 0 and 1, are
+of this kind. The pivot element is the entering variable's entry in
+``b``, an artificial's read off its surplus (below); the ratio test
+admits only positive ones, so only a clean-up pivot after phase one,
+which enters a real column, can have ``p < 0``. Negating ``b`` first
+negates exactly the rows the pivot rewrites and keeps every
 denominator positive. Phase two takes the rows as they stand, and its
 reduced costs start from ``d * cost`` minus each basic row, brought to
 ``d``, times its variable's cost; only the rows of a variable with
-nonzero cost are brought there.
+nonzero cost are brought there, and only their nonzero entries are
+read. Phase one's cost row is summed the same way, over the nonzero
+entries of each artificial's row, most of which are zero: a row of
+``build_system`` has a few terms among ``num_vars + m`` columns.
 
 The relations are ``<=`` and ``>=``, the two a constraint system's
 ``Row`` can hold; an equality is written as a ``<=``/``>=`` pair. Row
@@ -128,7 +135,9 @@ def _pivot(
     the entering variable's entry is zero are left as they are, list and
     denominator; a row whose denominator ``p`` divides keeps its list and
     denominator and changes on the pivot row's support only; any other
-    row is rewritten over ``p``.
+    row is rewritten over ``p``. With ``p == 1`` the update in place
+    takes no quotient by ``p``; each stored entry is still the general
+    formula's, ``a - f*b // p``.
     """
     col, base = artificials.get(enter, (enter, 0))
     pivot_row = tableau[row]
@@ -151,7 +160,11 @@ def _pivot(
         if not f or r == row:
             continue
         den = dens[r]
-        if den % p == 0:
+        if p == 1:
+            # 1 divides every den, and the quotient by 1 is the number itself
+            for j, b in support:
+                other[j] -= f * b
+        elif den % p == 0:
             # the new row is integral over den as well: see the module docstring
             for j, b in support:
                 other[j] -= f * b // p
@@ -295,7 +308,9 @@ def solve_lp(
         for i in range(m):
             if basis[i] >= width:
                 weight = artificials[basis[i]][1]
-                phase1 = [a - weight * b for a, b in zip(phase1, tableau[i])]
+                for j, x in enumerate(tableau[i]):
+                    if x:
+                        phase1[j] -= weight * x
         tableau.append(phase1)
         dens.append(1)
         status, d = _iterate(tableau, dens, basis, d, artificials)
@@ -323,7 +338,9 @@ def solve_lp(
         weight = full_cost[b]
         if weight:
             factor = weight * d
-            reduced = [a - factor * x // den for a, x in zip(reduced, row)]
+            for j, x in enumerate(row):
+                if x:
+                    reduced[j] -= factor * x // den
     tableau.append(reduced)
     dens.append(d)
     status, d = _iterate(tableau, dens, basis, d, {})

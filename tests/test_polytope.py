@@ -653,6 +653,27 @@ def test_optimize_rejects_bad_objective(opposed2):
         system.optimize([ONE])
 
 
+def test_weights_off_the_columns_are_refused(opposed2, single_edge):
+    # a weight keyed by a non-column would otherwise be dropped, leaving
+    # the zero objective; both readers of an edge mapping refuse it and
+    # name every such key in the mapping's order
+    system = build_system(opposed2)
+    bad = {Edge(9, 9): F(5), Edge(0, 0): F(1), "a1 b1": F(2)}
+    message = re.escape("weights keyed by non-columns: Edge(a=9, b=9), 'a1 b1'")
+    with pytest.raises(ValueError, match=message):
+        system.optimize(bad)
+    with pytest.raises(ValueError, match=message):
+        system.to_lp_text(bad)
+    # an in-range pair that is not an edge of the instance is no column
+    lone = build_system(Instance(1, 2, ((0,),), ((0,), ())))
+    with pytest.raises(ValueError, match=re.escape("Edge(a=0, b=1)")):
+        lone.optimize({Edge(0, 1): 1}, "min")
+    # the column edges alone, and the same weights as a sequence, solve
+    weights = {Edge(0, 0): F(3), Edge(1, 1): F(2)}
+    assert system.optimize(weights) == system.optimize([F(3), ZERO, ZERO, F(2)])
+    assert build_system(single_edge).optimize({Edge(0, 0): 1}).value == 1
+
+
 def test_lp_text_golden(single_edge):
     system = build_system(single_edge)
     text = system.to_lp_text()

@@ -1,14 +1,16 @@
 import dataclasses
+import hashlib
 import math
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, islice, product
 
 import pytest
 
 from stablepoly import polytope, simplex
-from stablepoly.instances import random_instance
+from stablepoly.instances import random_instance, random_instances
+from stablepoly.lattice import enumerate_stable
 from stablepoly.polytope import build_system
 from stablepoly.simplex import solve_lp
 
@@ -210,6 +212,9 @@ def test_pivot_leaves_rows_with_zero_in_pivot_column():
     # denominator too, and changes in place on the pivot row's support;
     # small entries (0, 1, -1, 2, as in the rows of build_system) keep the
     # pivot elements small, so that they often divide an older denominator.
+    # Every stored integer and denominator is the general formula's, a
+    # pivot element 1 included: a - f*b // p in place, (p*a - f*b) // den
+    # over p when rewritten.
     rng = random.Random(1314)
     seen = Counter()
     families = (
@@ -234,7 +239,20 @@ def test_pivot_leaves_rows_with_zero_in_pivot_column():
                 }
                 seen["negative"] += tableau[row][col] * dens[row] < 0
                 pivot_row = [x * d // dens[row] for x in tableau[row]]
-                p = abs(pivot_row[col])
+                if pivot_row[col] < 0:
+                    pivot_row = [-x for x in pivot_row]
+                p = pivot_row[col]
+                expected = []
+                for r, (a, den) in enumerate(zip(tableau, dens)):
+                    f = a[col]
+                    if r == row:
+                        expected.append((pivot_row, p))
+                    elif f == 0 or den % p == 0:
+                        expected.append(([x - f * b // p for x, b in zip(a, pivot_row)], den))
+                    else:
+                        expected.append(([(p * x - f * b) // den for x, b in zip(a, pivot_row)], p))
+                others = [den for r, (a, den) in enumerate(zip(tableau, dens)) if r != row and a[col]]
+                seen["pivot element 1"] += p == 1 and bool(others)
                 seen["off support"] += sum(
                     1
                     for r, a in enumerate(tableau)
@@ -249,12 +267,14 @@ def test_pivot_leaves_rows_with_zero_in_pivot_column():
                 d = simplex._pivot(tableau, dens, row, col, d, {})
                 assert d > 0 and all(den > 0 for den in dens)
                 assert [[F(x, den) for x in r] for r, den in zip(tableau, dens)] == rational
+                assert list(zip(tableau, dens)) == expected
                 for r, (kept_row, kept_den) in (kept | in_place).items():
                     assert tableau[r] is kept_row and dens[r] == kept_den
                 seen["kept"] += len(kept)
                 seen["in place over a multiple of p"] += len(in_place)
     assert seen["kept"] and seen["negative"] and seen["off support"] >= 20
     assert seen["in place over a multiple of p"] >= 20
+    assert seen["pivot element 1"] >= 20
 
 
 def test_pivot_column_zero_in_other_rows():
@@ -380,6 +400,8 @@ def pivots(monkeypatch):
             taken.branches["elimination with p not dividing den"] += 1
         if any(den != p and den % p == 0 for den in others):
             taken.branches["pivot element divides the row's denominator"] += 1
+        if p == 1 and others:
+            taken.branches["pivot element 1"] += 1
         return real(tableau, dens, row, enter, d, artificials)
 
     monkeypatch.setattr(simplex, "_pivot", record)
@@ -434,6 +456,7 @@ def test_random_lps_match_fraction_tableau(pivots):
     # a leftover artificial's row holds its surplus, so no row is redundant
     assert events["drop"] == 0
     assert pivots.branches["pivot element divides the row's denominator"] >= 30
+    assert pivots.branches["pivot element 1"] >= 100
     # every drawn relation, each sign of right-hand side, reaches the solvers
     assert set(relations) == {(rel, neg) for rel in ("<=", ">=", "=") for neg in (False, True)}
 
@@ -585,8 +608,9 @@ def test_optimize_fraction_row_matches_fraction_tableau(monkeypatch, pivots):
 def test_complete_5x5_optimize_lps_match_fraction_tableau(monkeypatch, pivots):
     # 25 columns, both senses; the runs must reach every per-row path: a
     # pivot row stored at an older denominator, an elimination whose row
-    # is over a denominator the pivot element does not divide, and one
-    # whose row stays over a proper multiple of the pivot element
+    # is over a denominator the pivot element does not divide, one whose
+    # row stays over a proper multiple of the pivot element, and a pivot
+    # element 1
     rng = random.Random(1313)
     instances = [random_instance(5, 5, 1.0, rng) for _ in range(2)]
 
@@ -605,6 +629,7 @@ def test_complete_5x5_optimize_lps_match_fraction_tableau(monkeypatch, pivots):
         assert result.status == "optimal"
     assert pivots.branches["stale pivot row"] and pivots.branches["elimination with p not dividing den"]
     assert pivots.branches["pivot element divides the row's denominator"] >= 100
+    assert pivots.branches["pivot element 1"] >= 200
 
 
 def test_midpoint_lps_match_fraction_tableau(pivots, opposed4):
@@ -624,3 +649,50 @@ def test_midpoint_lps_match_fraction_tableau(pivots, opposed4):
                 values[result.value] += 1
     assert sum(values.values()) == 24
     assert values[F(0)] and sum(values.values()) > values[F(0)]
+
+
+# -- golden results of optimize ----------------------------------------------
+
+
+def _optimize_runs():
+    """``(system, weights, sense, ties)`` of the golden ``optimize`` corpus.
+
+    Complete 3x3, 4x4 and 5x5 draws, each with random rational weights
+    in both senses; then the all-ones objective, as an edge mapping, on
+    every draw with several stable matchings (``ties`` true). Every
+    stable matching has the same size, so there each one is optimal and
+    the point reported is the one Bland's rule reaches.
+    """
+    rng = random.Random(2811)
+    several = []
+    for size, count in ((3, 60), (4, 30), (5, 12)):
+        for inst in islice(random_instances(size, size, 1.0, 2810 + size), count):
+            system = build_system(inst)
+            for sense in ("max", "min"):
+                weights = [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in system.columns]
+                yield system, weights, sense, False
+            if len(enumerate_stable(inst, max_edges=size * size)) > 1:
+                several.append(system)
+    for system in several:
+        yield system, {e: 1 for e in system.columns}, "max", True
+
+
+def test_optimize_results_golden():
+    # status, point and value of each solve, hashed; the digest was taken
+    # with the simplex that updated every row with its full formula and
+    # summed its cost rows over the whole width, so any change to the
+    # exact arithmetic must leave every result, ties included, as it was
+    digest = hashlib.sha256()
+    ties = 0
+    for system, weights, sense, tie in _optimize_runs():
+        result = system.optimize(weights, sense)
+        assert result.status == "optimal"
+        if tie:
+            ties += 1
+            assert set(result.point) <= {0, 1}
+        line = [result.status, [str(x) for x in result.point], str(result.value)]
+        digest.update(repr(line).encode() + b"\n")
+    assert ties >= 30
+    assert digest.hexdigest() == (
+        "2fd560fdccce7883999a49f3c1c2397aab719284f20f2d10c46de508ed05b59f"
+    )
