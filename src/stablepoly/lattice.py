@@ -102,18 +102,6 @@ def _component_orientation(
     return verdict
 
 
-def decompose(instance: Instance, m1: Matching, m2: Matching) -> Decomposition:
-    """Split the symmetric difference into oriented alternating cycles.
-
-    Both inputs must be stable; the orientation claim does not survive
-    unstable inputs and the caller is told so via ValueError, which lists
-    the blocking edges. Stability is the covering test; the blocking-pair
-    scan runs only for an input that fails it.
-    """
-    _require_stable(instance, m1, m2)
-    return split_difference(instance, m1, m2)
-
-
 def _blocked_by(instance: Instance, m: Matching) -> list[Edge]:
     """No edge when ``m`` passes the covering test; otherwise its blocking
     pairs, scanned only to explain the failure. A scan that finds none
@@ -147,12 +135,17 @@ def partner_maps(m1: Matching, m2: Matching) -> tuple[dict[int, int], dict[int, 
     return ab1, ab2
 
 
-def split_difference(instance: Instance, m1: Matching, m2: Matching) -> Decomposition:
-    """The cycle walk of ``decompose``, for inputs already known to be
-    stable: it checks no blocking pair. Their difference is a union of
-    cycles, since they cover the same nodes (``partner_maps``); a mixed
-    component raises ``UniformityError``.
+def decompose(instance: Instance, m1: Matching, m2: Matching) -> Decomposition:
+    """Split the symmetric difference into oriented alternating cycles.
+
+    Both inputs must be stable; the orientation claim does not survive
+    unstable inputs and the caller is told so via ValueError, which lists
+    the blocking edges. Stability is the covering test; the blocking-pair
+    scan runs only for an input that fails it. Two stable matchings
+    cover the same nodes (``partner_maps``), so their difference is a
+    union of cycles; a mixed component raises ``UniformityError``.
     """
+    _require_stable(instance, m1, m2)
     ab1, ab2 = partner_maps(m1, m2)
     ba1, ba2 = ({b: a for a, b in ab.items()} for ab in (ab1, ab2))
     a_rank, b_rank = instance.a_rank, instance.b_rank

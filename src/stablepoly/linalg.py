@@ -3,9 +3,9 @@
 A rational vector is scaled once to integers by the lcm of its
 denominators (``scale_to_integers``); the simplex scales its objective
 with it. The basis pick (``greedy_independent``) takes rows that are
-integer already, sparse ``(column, entry)`` terms as
-``polytope._integer_row`` writes them, and eliminates on those terms
-without fractions (Edmonds 1967).
+integer already, the sparse ``(column, entry)`` terms of an
+``IntegerRow`` as ``polytope._integer_row`` writes them, and eliminates
+on those terms without fractions (Edmonds 1967).
 Linear independence does not depend on a nonzero scale of each row, so
 the indices picked are the rational ones.
 """
@@ -15,6 +15,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from typing import Iterable, Sequence
+
+# a row ``sum(a * x[c] for c, a in terms) <= rhs`` as ``(terms, rhs)``,
+# with ``int`` coefficients and right-hand side
+IntegerRow = tuple[Sequence[tuple[int, int]], int]
 
 
 def scale_to_integers(values: Sequence[int | Fraction]) -> tuple[list[int], int]:

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .instances import Edge, Instance, LimitError
-from .linalg import greedy_independent
+from .linalg import IntegerRow, greedy_independent
 from .matchings import Matching
 from .simplex import LpResult, solve_lp
 
@@ -27,8 +27,6 @@ Point = tuple[Fraction, ...]
 _Homogeneous = tuple[tuple[int, ...], int, int]
 # a point as above with its slack on the row being inserted
 _Slacked = tuple[tuple[int, ...], int, int, int]
-# a row as (((column, integer coefficient), ...), integer rhs) of a <= row
-_IntegerRow = tuple[tuple[tuple[int, int], ...], int]
 
 
 @dataclass(frozen=True)
@@ -89,22 +87,16 @@ class VertexReport:
     def fractional_vertices(self) -> list[Vertex]:
         return [v for v in self.vertices if not v.integral]
 
-    def matching_of(self, vertex: Vertex) -> Matching | None:
-        if not vertex.integral:
-            return None
-        return Matching.from_edges(self.columns[j] for j in vertex.support())
-
     def to_json(self) -> dict:
         entries = []
         for v in self.vertices:
-            matching = self.matching_of(v)
             entries.append(
                 {
                     "point": [str(x) for x in v.point],
                     "integral": v.integral,
-                    "matching": None
-                    if matching is None
-                    else [self.column_names[j] for j in v.support()],
+                    "matching": [self.column_names[j] for j in v.support()]
+                    if v.integral
+                    else None,
                     "tight": list(v.tight),
                     "basis": list(v.basis),
                 }
@@ -145,8 +137,9 @@ class ConstraintSystem:
         column raises ``ValueError`` naming those keys; a sequence of the
         wrong length raises ``ValueError`` too. Weights are ``int`` or
         ``Fraction``. ``sense`` is ``"max"`` (the default) or ``"min"``.
-        The result is ``solve_lp``'s: the point and the value of an
-        optimal vertex. When several vertices are optimal, the one
+        The result is ``solve_lp``'s on the rows' integer forms
+        (``_integer_row``), sign rows left out: the point and the value
+        of an optimal vertex. When several vertices are optimal, the one
         returned is the one Bland's rule reaches first.
         """
         if isinstance(weights, Mapping):
@@ -155,12 +148,8 @@ class ConstraintSystem:
         else:
             objective = list(weights)
         # the solver holds variables nonnegative already
-        constraints = [
-            (list(zip(row.cols, row.coeffs)), row.relation, row.rhs)
-            for row in self.rows
-            if not row.is_sign
-        ]
-        return solve_lp(len(self.columns), constraints, objective, sense)
+        rows = [_integer_row(row) for row in self.rows if not row.is_sign]
+        return solve_lp(len(self.columns), rows, objective, sense)
 
     def enumerate_vertices(self, max_edges: int = MAX_VERTEX_COLUMNS) -> VertexReport:
         """All extreme points, exact, with a tight-row basis per vertex.
@@ -187,7 +176,7 @@ class ConstraintSystem:
         return VertexReport(self.columns, self.column_names, vertices)
 
     def _describe(
-        self, point: Point, tight: tuple[int, ...], scaled: Sequence[_IntegerRow]
+        self, point: Point, tight: tuple[int, ...], scaled: Sequence[IntegerRow]
     ) -> Vertex:
         """The vertex at ``point`` with its certificate.
 
@@ -285,22 +274,23 @@ def build_system(instance: Instance) -> ConstraintSystem:
     return ConstraintSystem(columns, names, tuple(rows))
 
 
-def _upper_bound(system: ConstraintSystem, scaled: Sequence[_IntegerRow]) -> Fraction:
+def _upper_bound(width: int, scaled: Sequence[IntegerRow]) -> Fraction:
     """A value strictly above the coordinate sum anywhere in the region.
 
-    Certified from the ``<=`` rows of positive coefficients: such a row
-    caps each of its columns on its own once every variable is
-    nonnegative. The caps are read from the rows' integer forms
-    (``scaled``, from ``_integer_row``), where a ``<=`` row keeps its
-    signs and the ratio ``rhs / a`` is the rational one. A cap below zero
-    leaves the region empty; it counts as zero, so that the bounding
-    simplex keeps a positive size and the insertion still ends with no
-    vertices.
+    The region has ``width`` columns, and the bound is certified from
+    the rows whose integer form (``scaled``, from ``_integer_row``, each
+    a ``<=`` row) has only positive coefficients: such a row caps each
+    of its columns on its own once every variable is nonnegative,
+    whichever relation it was written with, and the ratio ``rhs / a`` is
+    the rational one. A cap below zero leaves the region empty; it
+    counts as zero, so that the bounding simplex keeps a positive size
+    and the insertion still ends with no vertices.
     """
     # the tightest cap of each column as (numerator, positive denominator)
-    best: list[tuple[int, int] | None] = [None] * len(system.columns)
-    for row, (terms, rhs) in zip(system.rows, scaled):
-        if row.relation != "<=" or any(a <= 0 for _, a in terms):
+    best: list[tuple[int, int] | None] = [None] * width
+    for terms, rhs in scaled:
+        # the first coefficient turns a sign or stability row away unscanned
+        if not terms or terms[0][1] <= 0 or any(a <= 0 for _, a in terms):
             continue
         top = max(rhs, 0)
         for c, a in terms:
@@ -320,7 +310,7 @@ def _upper_bound(system: ConstraintSystem, scaled: Sequence[_IntegerRow]) -> Fra
 _denominator = operator.attrgetter("denominator")
 
 
-def _integer_row(row: Row) -> _IntegerRow:
+def _integer_row(row: Row) -> IntegerRow:
     """``row`` as ``sum(a * x[c] for c, a in terms) <= rhs`` over the integers.
 
     Multiplying by the lcm of the row's denominators (1 for an all-``int``
@@ -337,7 +327,7 @@ def _integer_row(row: Row) -> _IntegerRow:
 
 
 def _points_by_incidence(
-    system: ConstraintSystem, scaled: Sequence[_IntegerRow]
+    system: ConstraintSystem, scaled: Sequence[IntegerRow]
 ) -> list[tuple[Point, tuple[int, ...]]]:
     """Every vertex, with the indices of the rows tight at it.
 
@@ -444,7 +434,7 @@ def _points_by_incidence(
         raise ValueError(
             "incidence enumeration needs an explicit sign row per column"
         )
-    bound = _upper_bound(system, scaled)
+    bound = _upper_bound(width, scaled)
     bound_num, bound_den = bound.numerator, bound.denominator
     synthetic = len(system.rows)  # bit index of the bounding facet
     facet = 1 << synthetic

@@ -1,29 +1,22 @@
-"""Exact two-phase simplex over rationals, in integer arithmetic.
+"""Exact two-phase simplex over integer rows, in integer arithmetic.
 
 Dense tableau, Bland's rule throughout (lowest eligible index enters,
 ratio ties leave by lowest basic index), so every run terminates without
 any cycling safeguards beyond the rule itself. There are no tolerances
 anywhere.
 
-The tableau holds only integers (integer-preserving pivoting: Edmonds
-1967, Bareiss 1968). Each constraint row is scaled once, by the lcm of
-the denominators of its terms and right-hand side, as it is written
-into the tableau, while its slack and artificial keep the coefficient
-1 or -1 (a ``>=`` row's artificial is read off its surplus, see below).
-That measures them in units of 1/scale: a positive rescaling of their
-columns, which changes no sign of a reduced cost and no order of a
-ratio test. Phase one weighs each artificial by 1/scale, so its
-objective is still the sum of the artificials; the objective is scaled
-once by the lcm of its denominators. An ``int`` is a rational of
-denominator 1, so a row given with ``int`` terms and right-hand side,
-as every row of ``build_system`` is, has scale 1 and no ``Fraction`` is
-built for it.
+The rows are ``polytope._integer_row``'s, ``sum(a * x[c]) <= rhs`` with
+``int`` coefficients and right-hand side: the caller decides how a
+rational row becomes an integer one, and the solver takes the integers
+as they are. The tableau holds only integers (integer-preserving
+pivoting: Edmonds 1967, Bareiss 1968), and the objective is scaled once
+by the lcm of its denominators.
 
 Each row, and the cost row, has its own positive denominator: the
 rational row is ``row / den``. Bareiss's scheme keeps one common
 denominator ``d``, the last pivot element (1 before the first pivot),
 and holds every row as an integer multiple of ``1/d``. Up to sign ``d``
-is the determinant of the current basis matrix B of the scaled rows,
+is the determinant of the current basis matrix B of the integer rows,
 each such row is a row of adj(B) times the integer rows (Cramer's rule),
 hence integral, and one pivot is Sylvester's identity. So ``d`` times
 any rational row is integral whatever the row's history, and a row may
@@ -56,25 +49,23 @@ read. Phase one's cost row is summed the same way, over the nonzero
 entries of each artificial's row, most of which are zero: a row of
 ``build_system`` has a few terms among ``num_vars + m`` columns.
 
-The relations are ``<=`` and ``>=``, the two a constraint system's
-``Row`` can hold; an equality is written as a ``<=``/``>=`` pair. Row
-``i``'s slack or surplus is column ``num_vars + i``, and every column the
-tableau stores is a real one. A ``>=`` row (after a negative right-hand
-side is flipped) needs an artificial in phase one, and no column is
-stored for it. The artificial starts as ``+e_i`` and the row's surplus
-as ``-e_i``; row operations and positive row scalings keep the two exact
-negatives in every constraint row, and their reduced costs add up to the
-artificial's weight, its cost in phase one. So each artificial is
-``(column, base)``, its surplus column and its weight, which is
-positive (a real column reads as ``(itself, 0)``): its entry in a
-constraint row ``a`` is ``-a[column]``, and its reduced cost, over the
-cost row's denominator ``den``, is ``base * den - c[column]``. Entering
-at row ``r`` eliminates ``a[column]`` (in the cost row with ``base *
-den`` subtracted) against ``-b`` and leaves ``b`` as the new row ``r``;
-that is the pivot on the artificial's own column, so the tableau is the
-one that stores it. Bland's rule takes the lowest real column of
-negative reduced cost and, when there is none, the first such
-artificial in label order, the order of the columns a tableau with
+Row ``i``'s slack is column ``num_vars + i``, and every column the
+tableau stores is a real one. A row with a negative right-hand side is
+negated as it is written into the tableau, so it reads ``>=`` with a
+nonnegative right-hand side; its slack turns into a surplus, and it
+needs an artificial in phase one, for which no column is stored. The
+artificial starts as ``+e_i`` and the row's surplus as ``-e_i``; row
+operations and positive row scalings keep the two exact negatives in
+every constraint row, and their reduced costs add up to 1, the
+artificial's cost in phase one. So each artificial is just its surplus
+column: its entry in a constraint row ``a`` is ``-a[column]``, and its
+reduced cost, over the cost row's denominator ``den``, is ``den -
+c[column]``. Entering at row ``r`` eliminates ``a[column]`` (in the cost
+row with ``den`` subtracted) against ``-b`` and leaves ``b`` as the new
+row ``r``; that is the pivot on the artificial's own column, so the
+tableau is the one that stores it. Bland's rule takes the lowest real
+column of negative reduced cost and, when there is none, the first
+such artificial in label order, the order of the columns a tableau with
 every artificial stored would scan. The basis holds each artificial by
 its own label, ``num_vars + m`` on in row order, after the real
 columns, so the ratio tie-break, the infeasibility test and the
@@ -86,26 +77,22 @@ row is ever redundant.
 
 Bland's entering test reads only the signs of the cost row, and the
 ratio test compares ``rhs / coeff`` within each row; a positive scale of
-one row changes neither. So the pivots are the ones the rational
-tableau takes, and Fractions are built only for the returned point,
-each nonzero coordinate ``row[-1] / den``, whose value is computed from
-the caller's unscaled objective over those coordinates alone.
+one row, such as its denominator, changes neither. So the pivots are
+the ones the rational tableau of the integer rows takes, and Fractions
+are built only for the returned point, each nonzero coordinate
+``row[-1] / den``, whose value is computed from the caller's unscaled
+objective over those coordinates alone.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .linalg import scale_to_integers
+from .linalg import IntegerRow, scale_to_integers
 
 ZERO = Fraction(0)
-
-Constraint = tuple[Sequence[tuple[int, int | Fraction]], str, int | Fraction]
-# an artificial of phase one as (surplus column, base); see _pivot
-_Artificial = tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -121,42 +108,43 @@ def _pivot(
     row: int,
     enter: int,
     d: int,
-    artificials: dict[int, _Artificial],
+    artificials: dict[int, int],
 ) -> int:
     """Pivot variable ``enter`` in at ``row``; the new common denominator, positive.
 
     Row ``i`` stands for ``tableau[i] / dens[i]``, and ``d`` is the
     common denominator of the last pivot. ``enter`` is a stored column,
-    or a label of ``artificials``, whose ``(column, base)`` reads the
-    artificial's entry off its surplus column: ``-a[column]`` in each
-    constraint row ``a``, and ``base * den - c[column]`` in the cost row
-    ``c`` (last, over ``den``). The pivot row is stored as it reads,
-    over ``p``, so an entering artificial is basic at ``+1``. Rows where
-    the entering variable's entry is zero are left as they are, list and
-    denominator; a row whose denominator ``p`` divides keeps its list and
-    denominator and changes on the pivot row's support only; any other
-    row is rewritten over ``p``. With ``p == 1`` the update in place
-    takes no quotient by ``p``; each stored entry is still the general
-    formula's, ``a - f*b // p``.
+    or a label of ``artificials``, which maps it to its surplus column:
+    the artificial's entry is ``-a[column]`` in each constraint row
+    ``a``, and ``den - c[column]`` in the cost row ``c`` (last, over
+    ``den``). The pivot row is stored as it reads, over ``p``, so an
+    entering artificial is basic at ``+1``. Rows where the entering
+    variable's entry is zero are left as they are, list and denominator;
+    a row whose denominator ``p`` divides keeps its list and denominator
+    and changes on the pivot row's support only; any other row is
+    rewritten over ``p``. With ``p == 1`` the update in place takes no
+    quotient by ``p``; each stored entry is still the general formula's,
+    ``a - f*b // p``.
     """
-    col, base = artificials.get(enter, (enter, 0))
+    col = artificials.get(enter, enter)
+    artificial = col != enter
     pivot_row = tableau[row]
     if dens[row] != d:
         pivot_row = [x * d // dens[row] for x in pivot_row]
-    p = -pivot_row[col] if base else pivot_row[col]
+    p = -pivot_row[col] if artificial else pivot_row[col]
     if p < 0:
         pivot_row = [-x for x in pivot_row]
         p = -p
-    # A row meets an artificial as -a[col], the cost row as base * den -
-    # c[col]; eliminating that against the pivot row is eliminating
-    # a[col], less base * den in the cost row, against -pivot_row.
-    elim = [-x for x in pivot_row] if base else pivot_row
+    # A row meets an artificial as -a[col], the cost row as den - c[col];
+    # eliminating that against the pivot row is eliminating a[col], less
+    # den in the cost row, against -pivot_row.
+    elim = [-x for x in pivot_row] if artificial else pivot_row
     support = [(j, b) for j, b in enumerate(elim) if b]
     last = len(tableau) - 1
     for r, other in enumerate(tableau):
         f = other[col]
-        if base and r == last:
-            f -= base * dens[r]
+        if artificial and r == last:
+            f -= dens[r]
         if not f or r == row:
             continue
         den = dens[r]
@@ -185,7 +173,7 @@ def _iterate(
     dens: list[int],
     basis: list[int],
     d: int,
-    artificials: dict[int, _Artificial],
+    artificials: dict[int, int],
 ) -> tuple[str, int]:
     """Run simplex steps until optimal or unbounded; the status and new ``d``.
 
@@ -205,18 +193,17 @@ def _iterate(
         enter = next((j for j in range(width) if cost[j] < 0), None)
         if enter is None:
             den = dens[-1]
-            enter = next(
-                (k for k, (j, base) in artificials.items() if base * den - cost[j] < 0),
-                None,
-            )
+            # an artificial's reduced cost is den - cost[j]
+            enter = next((k for k, j in artificials.items() if cost[j] > den), None)
             if enter is None:
                 return "optimal", d
-        col, base = artificials.get(enter, (enter, 0))
+        col = artificials.get(enter, enter)
+        artificial = col != enter
         best_row = -1
         best_rhs = best_coeff = 0
         for i in range(m):
             row = tableau[i]
-            coeff = -row[col] if base else row[col]
+            coeff = -row[col] if artificial else row[col]
             if coeff > 0:
                 if best_row >= 0:
                     # rhs/coeff against best_rhs/best_coeff, both coeffs positive
@@ -232,19 +219,20 @@ def _iterate(
 
 def solve_lp(
     num_vars: int,
-    constraints: Sequence[Constraint],
+    rows: Sequence[IntegerRow],
     objective: Sequence[int | Fraction],
     sense: str = "max",
 ) -> LpResult:
-    """Optimize a linear objective over the given constraints.
+    """Optimize a linear objective over integer ``<=`` rows.
 
-    Constraints are (sparse terms, relation, rhs) with relation "<=" or
-    ">="; any other relation, "=" included, raises ``ValueError``, so an
-    equality is given as a "<=" row and a ">=" row. Every variable is
-    additionally held nonnegative. Coefficients, right-hand sides and
-    objective entries may be ``int`` or ``Fraction``, mixed freely
-    within a row or the objective; a ``float`` anywhere raises
-    ``AttributeError``.
+    Each row is ``(terms, rhs)``, sparse ``(column, coefficient)`` terms
+    and a right-hand side, for ``sum(a * x[c] for c, a in terms) <=
+    rhs``, as ``polytope._integer_row`` writes it; a column listed twice
+    counts the sum of its coefficients. Every variable is additionally
+    held nonnegative. Coefficients and right-hand sides are ``int``s;
+    anything else raises ``TypeError`` before any pivot. Objective
+    entries may be ``int`` or ``Fraction``, mixed freely; a ``float``
+    there raises ``AttributeError``.
     """
     if sense not in ("max", "min"):
         raise ValueError(f"unknown sense {sense!r}")
@@ -252,48 +240,37 @@ def solve_lp(
         raise ValueError("objective length does not match variable count")
     cost_vec, _ = scale_to_integers([-c for c in objective] if sense == "max" else objective)
 
-    m = len(constraints)
+    m = len(rows)
     # row i's slack or surplus is column num_vars + i, so the tableau has
     # num_vars + m columns and the right-hand side; the artificials are
-    # labelled from width on
+    # labelled from width on, each mapped to its surplus column
     width = num_vars + m
     tableau: list[list[int]] = []
-    scales: list[int] = []
-    relations: list[str] = []
-    for terms, relation, rhs in constraints:
-        if relation not in ("<=", ">="):
-            raise ValueError(f"unknown relation {relation!r}")
-        scale = math.lcm(rhs.denominator, *[c.denominator for _, c in terms])
+    basis: list[int] = []
+    artificials: dict[int, int] = {}
+    for i, (terms, rhs) in enumerate(rows):
         row = [0] * (width + 1)
         for col, coeff in terms:
             if not 0 <= col < num_vars:
                 raise ValueError(f"column {col} out of range")
-            row[col] += coeff.numerator * (scale // coeff.denominator)
-        row[-1] = rhs.numerator * (scale // rhs.denominator)
+            if not isinstance(coeff, int):
+                raise TypeError(f"coefficient {coeff!r} is not an int")
+            row[col] += coeff
+        if not isinstance(rhs, int):
+            raise TypeError(f"right-hand side {rhs!r} is not an int")
+        slack = num_vars + i
         if rhs < 0:
             row = [-x for x in row]
-            relation = ">=" if relation == "<=" else "<="
-        tableau.append(row)
-        scales.append(scale)
-        relations.append(relation)
-
-    # Phase one minimizes the sum of the artificials, one per >= row, its
-    # surplus negated. Row i's artificial is counted in units of
-    # 1/scales[i], so it costs lcm/scales[i].
-    lcm = math.lcm(*[scales[i] for i in range(m) if relations[i] == ">="])
-
-    basis: list[int] = []
-    artificials: dict[int, _Artificial] = {}
-    for i, row in enumerate(tableau):
-        col = num_vars + i
-        if relations[i] == "<=":
-            row[col] = 1
-            basis.append(col)
-        else:
-            row[col] = -1
+            row[slack] = -1
             label = width + len(artificials)
-            artificials[label] = (col, lcm // scales[i])
+            artificials[label] = slack
             basis.append(label)
+            rhs = -rhs
+        else:
+            row[slack] = 1
+            basis.append(slack)
+        row[-1] = rhs
+        tableau.append(row)
 
     # Row i stands for tableau[i] / dens[i]; the cost row is appended
     # last while a phase runs, with its own entry in dens and a last
@@ -301,16 +278,15 @@ def solve_lp(
     dens = [1] * m
     d = 1
     if artificials:
-        # Every stored column costs zero and an artificial's weight is
-        # its base, so the cost row starts as minus each artificial's row
-        # times its weight.
+        # Phase one minimizes the sum of the artificials. Every stored
+        # column costs zero and each artificial costs 1, so the cost row
+        # starts as minus the sum of the artificials' rows.
         phase1 = [0] * (width + 1)
         for i in range(m):
             if basis[i] >= width:
-                weight = artificials[basis[i]][1]
                 for j, x in enumerate(tableau[i]):
                     if x:
-                        phase1[j] -= weight * x
+                        phase1[j] -= x
         tableau.append(phase1)
         dens.append(1)
         status, d = _iterate(tableau, dens, basis, d, artificials)

@@ -74,10 +74,12 @@ def test_removed_names_stay_removed():
     for name in ("neighbors", "better_edges", "nodes", "has_edge", "rank", "prefers"):
         assert not hasattr(stablepoly.Instance, name), f"Instance.{name}"
     assert not hasattr(stablepoly.Matching, "partner")
-    assert not hasattr(stablepoly.lattice, "swap")
+    for name in ("swap", "split_difference"):
+        assert not hasattr(stablepoly.lattice, name), f"lattice.{name}"
     assert not hasattr(stablepoly.Decomposition, "flip_to_favour_a")
     assert not hasattr(stablepoly.Decomposition, "flip_to_favour_b")
     assert not hasattr(stablepoly.Row, "dense")
+    assert not hasattr(stablepoly.VertexReport, "matching_of")
 
 
 def test_record_fields_are_pinned():

@@ -24,7 +24,6 @@ from stablepoly.lattice import (
     decompose,
     enumerate_stable,
     meet_join,
-    split_difference,
 )
 from stablepoly.matchings import Matching, is_stable
 
@@ -119,15 +118,17 @@ def test_stable_pairs_only_make_cycles():
             }
 
 
-def test_mixed_component_raises_with_certificate():
+def test_mixed_component_raises_with_certificate(monkeypatch):
     """Both a-nodes rank b1 first and both b-nodes rank a1 first, so in the
     difference of these two matchings a1 leans to the first and a2 to the
-    second; the walk must not guess an orientation."""
+    second; with the input check skipped, the walk must not guess an
+    orientation."""
+    monkeypatch.setattr(lattice, "_require_stable", lambda *a: None)
     inst = Instance(2, 2, ((0, 1), (0, 1)), ((0, 1), (0, 1)))
     m1 = Matching.from_edges([Edge(0, 0), Edge(1, 1)])
     m2 = Matching.from_edges([Edge(0, 1), Edge(1, 0)])
     with pytest.raises(UniformityError) as info:
-        split_difference(inst, m1, m2)
+        decompose(inst, m1, m2)
     certificate = info.value.certificate
     assert certificate["nodes"] == ["a1", "b1", "a2", "b2"]
     assert certificate["prefers"] == {"a1": "m1", "b1": "m1", "a2": "m2", "b2": "m2"}
@@ -135,16 +136,19 @@ def test_mixed_component_raises_with_certificate():
     assert certificate["m2"] == ["a1 b2", "a2 b1"]
 
 
-def test_split_difference_needs_equal_cover():
+def test_split_difference_needs_equal_cover(monkeypatch):
+    # with the input check skipped, the walk refuses matchings that
+    # cover different nodes
+    monkeypatch.setattr(lattice, "_require_stable", lambda *a: None)
     inst = Instance(2, 2, ((0, 1), (0, 1)), ((0, 1), (0, 1)))
     one = Matching.from_edges([Edge(0, 0)])
     two = Matching.from_edges([Edge(0, 0), Edge(1, 1)])
     with pytest.raises(AssertionError, match="cover different nodes"):
-        split_difference(inst, one, two)
+        decompose(inst, one, two)
     # the same a-node, matched to different b-nodes
     other_b = Matching.from_edges([Edge(0, 1)])
     with pytest.raises(AssertionError, match="cover different nodes"):
-        split_difference(inst, one, other_b)
+        decompose(inst, one, other_b)
 
 
 def test_meet_join_golden(opposed4):

@@ -144,7 +144,9 @@ def test_vertices_golden(opposed2):
     }
     assert all(v.integral for v in report.vertices)
     assert report.fractional_vertices() == []
-    matched = {report.matching_of(v) for v in report.vertices}
+    matched = {
+        Matching.from_edges(report.columns[j] for j in v.support()) for v in report.vertices
+    }
     assert matched == set(enumerate_stable(opposed2))
 
 
@@ -169,7 +171,9 @@ def test_fractional_vertex_detected_by_both_methods():
     assert set(basis_points(system)) == expected
     frac = report.fractional_vertices()
     assert [v.point for v in frac] == [(HALF, HALF, HALF)]
-    assert report.matching_of(frac[0]) is None
+    # the all-halves support is three edges at one node, and no matching
+    entries = report.to_json()["vertices"]
+    assert [e["matching"] for e in entries if not e["integral"]] == [None]
 
 
 def test_methods_agree_on_random_instances():
@@ -599,6 +603,28 @@ def test_oracles_stay_independent():
     assert not [line for line in imports if re.search(r"\b(?:stablepoly|linalg|simplex)\b", line)]
     for name in ("enumerate_vertices", "_points_by_incidence"):
         assert not re.search(rf"\b{name}\b", src), name
+
+
+def test_cap_spelled_as_a_ge_row_bounds_the_region():
+    # -x - y >= -1 is x + y <= 1: either spelling caps both columns, so
+    # both systems enumerate the same three vertices, and optimize agrees
+    signs = (
+        Row((0,), (ONE,), ">=", ZERO, "nonneg", "x"),
+        Row((1,), (ONE,), ">=", ZERO, "nonneg", "y"),
+    )
+    columns, names = (Edge(0, 0), Edge(0, 1)), ("x", "y")
+    spellings = [
+        ConstraintSystem(columns, names, signs + (Row((0, 1), (ONE, ONE), "<=", ONE, "degree", "p"),)),
+        ConstraintSystem(columns, names, signs + (Row((0, 1), (-ONE, -ONE), ">=", -ONE, "degree", "p"),)),
+    ]
+    reports = [system.enumerate_vertices() for system in spellings]
+    for report in reports:
+        assert [v.point for v in report.vertices] == [(ZERO, ZERO), (ZERO, ONE), (ONE, ZERO)]
+    assert reports[0].vertices == reports[1].vertices
+    for system in spellings:
+        assert basis_points(system) == [(ZERO, ZERO), (ZERO, ONE), (ONE, ZERO)]
+        result = system.optimize([F(2), F(3)])
+        assert (result.point, result.value) == ((ZERO, ONE), F(3))
 
 
 def test_negative_cap_leaves_no_vertices():

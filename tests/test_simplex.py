@@ -9,7 +9,7 @@ from itertools import combinations, islice, product
 import pytest
 
 from stablepoly import polytope, simplex
-from stablepoly.instances import random_instance, random_instances
+from stablepoly.instances import Edge, random_instance, random_instances
 from stablepoly.lattice import enumerate_stable
 from stablepoly.polytope import build_system
 from stablepoly.simplex import solve_lp
@@ -21,42 +21,33 @@ from oracles import filter_stable, fraction_solve_lp, midpoint_lp
 F = Fraction
 
 
-def _split(rows):
-    """``rows`` with each ``=`` row given as its <= row and its >= row,
-    where it stood: solve_lp takes an equality only as that pair."""
-    return [
-        (terms, rel, rhs)
-        for terms, relation, rhs in rows
-        for rel in (("<=", ">=") if relation == "=" else (relation,))
-    ]
+def _integer(rows):
+    """``(terms, relation, rhs)`` rows, entries ``int`` or ``Fraction``, as
+    the integer ``<=`` rows solve_lp takes: each scaled by the lcm of its
+    denominators and negated when it is a ``>=`` row; an ``=`` row is given
+    as its ``<=`` row and its ``>=`` row, where it stood."""
+    out = []
+    for terms, relation, rhs in rows:
+        scale = math.lcm(F(rhs).denominator, *[F(c).denominator for _, c in terms])
+        for sign in {"<=": (1,), ">=": (-1,), "=": (1, -1)}[relation]:
+            k = sign * scale
+            out.append(([(j, int(c * k)) for j, c in terms], int(rhs * k)))
+    return out
 
 
 def test_max_two_vars():
     # max x + y st x + 2y <= 4, 3x + y <= 6: optimum at (8/5, 6/5)
-    result = solve_lp(
-        2,
-        [
-            ([(0, F(1)), (1, F(2))], "<=", F(4)),
-            ([(0, F(3)), (1, F(1))], "<=", F(6)),
-        ],
-        [F(1), F(1)],
-    )
+    result = solve_lp(2, [([(0, 1), (1, 2)], 4), ([(0, 3), (1, 1)], 6)], [F(1), F(1)])
     assert result.status == "optimal"
     assert result.point == (F(8, 5), F(6, 5))
     assert result.value == F(14, 5)
+    assert all(type(x) is Fraction for x in result.point)
+    assert type(result.value) is Fraction
 
 
 def test_min_with_surplus():
-    # min 2x + 3y st x + y >= 4, x <= 3
-    result = solve_lp(
-        2,
-        [
-            ([(0, F(1)), (1, F(1))], ">=", F(4)),
-            ([(0, F(1))], "<=", F(3)),
-        ],
-        [F(2), F(3)],
-        "min",
-    )
+    # min 2x + 3y st x + y >= 4 (-x - y <= -4), x <= 3
+    result = solve_lp(2, [([(0, -1), (1, -1)], -4), ([(0, 1)], 3)], [F(2), F(3)], "min")
     assert result.status == "optimal"
     assert result.point == (F(3), F(1))
     assert result.value == F(9)
@@ -65,10 +56,10 @@ def test_min_with_surplus():
 def test_equality_rows():
     result = solve_lp(
         3,
-        _split(
+        _integer(
             [
-                ([(0, F(1)), (1, F(1)), (2, F(1))], "=", F(1)),
-                ([(0, F(1)), (1, F(-1))], "=", F(0)),
+                ([(0, 1), (1, 1), (2, 1)], "=", 1),
+                ([(0, 1), (1, -1)], "=", 0),
             ]
         ),
         [F(0), F(0), F(1)],
@@ -79,26 +70,20 @@ def test_equality_rows():
 
 
 def test_infeasible():
-    result = solve_lp(
-        1,
-        [
-            ([(0, F(1))], "<=", F(1)),
-            ([(0, F(1))], ">=", F(2)),
-        ],
-        [F(1)],
-    )
+    # x <= 1 and x >= 2 (-x <= -2)
+    result = solve_lp(1, [([(0, 1)], 1), ([(0, -1)], -2)], [F(1)])
     assert result.status == "infeasible"
     assert result.point is None
 
 
 def test_unbounded():
-    result = solve_lp(2, [([(0, F(1))], "<=", F(1))], [F(0), F(1)])
+    result = solve_lp(2, [([(0, 1)], 1)], [F(0), F(1)])
     assert result.status == "unbounded"
 
 
 def test_negative_rhs_normalized():
     # -x <= -2 is x >= 2
-    result = solve_lp(1, [([(0, F(-1))], "<=", F(-2))], [F(1)], "min")
+    result = solve_lp(1, [([(0, -1)], -2)], [F(1)], "min")
     assert result.status == "optimal"
     assert result.point == (F(2),)
 
@@ -107,11 +92,13 @@ def test_degenerate_cycling_guard():
     """Beale's classic cycling example; Bland's rule must terminate."""
     result = solve_lp(
         4,
-        [
-            ([(0, F(1, 4)), (1, F(-8)), (2, F(-1)), (3, F(9))], "<=", F(0)),
-            ([(0, F(1, 2)), (1, F(-12)), (2, F(-1, 2)), (3, F(3))], "<=", F(0)),
-            ([(2, F(1))], "<=", F(1)),
-        ],
+        _integer(
+            [
+                ([(0, F(1, 4)), (1, F(-8)), (2, F(-1)), (3, F(9))], "<=", F(0)),
+                ([(0, F(1, 2)), (1, F(-12)), (2, F(-1, 2)), (3, F(3))], "<=", F(0)),
+                ([(2, F(1))], "<=", F(1)),
+            ]
+        ),
         [F(3, 4), F(-20), F(1, 2), F(-6)],
     )
     assert result.status == "optimal"
@@ -123,10 +110,10 @@ def test_redundant_equalities_driven_out():
     # infeasible, and every artificial left basic is driven out
     result = solve_lp(
         2,
-        _split(
+        _integer(
             [
-                ([(0, F(1)), (1, F(1))], "=", F(1)),
-                ([(0, F(2)), (1, F(2))], "=", F(2)),
+                ([(0, 1), (1, 1)], "=", 1),
+                ([(0, 2), (1, 2)], "=", 2),
             ]
         ),
         [F(1), F(0)],
@@ -136,7 +123,7 @@ def test_redundant_equalities_driven_out():
 
 
 def test_zero_objective_feasibility_probe():
-    result = solve_lp(2, _split([([(0, F(1)), (1, F(1))], "=", F(1))]), [F(0), F(0)], "min")
+    result = solve_lp(2, _integer([([(0, 1), (1, 1)], "=", 1)]), [F(0), F(0)], "min")
     assert result.status == "optimal"
     assert result.value == F(0)
 
@@ -150,23 +137,19 @@ def test_matches_vertex_scan():
     rng = random.Random(410)
     for _ in range(25):
         n = rng.randint(1, 3)
-        rows = [([(j, F(1))], "<=", F(rng.randint(1, 4))) for j in range(n)]
+        rows = [([(j, 1)], rng.randint(1, 4)) for j in range(n)]
         # 0/1 coefficients keep every vertex of the region integral,
         # so the half-step grid below provably covers all of them
         for _ in range(rng.randint(0, 2)):
-            terms = [(j, F(1)) for j in range(n) if rng.random() < 0.6]
+            terms = [(j, 1) for j in range(n) if rng.random() < 0.6]
             if terms:
-                rows.append((terms, "<=", F(rng.randint(2, 6))))
+                rows.append((terms, rng.randint(2, 6)))
         goal = [F(rng.randint(-3, 3)) for _ in range(n)]
         result = solve_lp(n, rows, goal)
         assert result.status == "optimal"
 
         def ok(point):
-            for terms, rel, rhs in rows:
-                lhs = sum(c * point[j] for j, c in terms)
-                if rel == "<=" and lhs > rhs:
-                    return False
-            return True
+            return all(sum(c * point[j] for j, c in terms) <= rhs for terms, rhs in rows)
 
         # grid granularity 1/2 catches every vertex of these integer systems
         grid = [F(k, 2) for k in range(0, 13)]
@@ -187,9 +170,9 @@ def test_negative_cleanup_pivot():
     # its lower index) and leaves the first row's artificial basic at zero;
     # driving it out pivots on its surplus entry, -1. Phase two must then
     # read every sign the rational tableau has, or x looks profitable.
-    rows = [([(1, F(-2))], "<=", F(-1)), ([(1, F(-2))], ">=", F(-1))]
+    rows = _integer([([(1, F(-2))], "<=", F(-1)), ([(1, F(-2))], ">=", F(-1))])
     log = []
-    fraction_solve_lp(2, rows, [F(-2), F(1)], "max", log)
+    fraction_solve_lp(2, _relational(rows), [F(-2), F(1)], "max", log)
     assert [(kind, element < 0) for kind, _, _, element in log] == [
         ("step", False),
         ("cleanup", True),
@@ -281,9 +264,7 @@ def test_pivot_column_zero_in_other_rows():
     # x's column is zero in the y row and the other way round: each pivot
     # leaves the other row as it is, over its own denominator, and the y
     # row must still end at y = 5
-    result = solve_lp(
-        2, [([(0, F(2))], "<=", F(3)), ([(1, F(3))], "<=", F(15))], [F(1), F(1)]
-    )
+    result = solve_lp(2, [([(0, 2)], 3), ([(1, 3)], 15)], [F(1), F(1)])
     assert result.status == "optimal"
     assert result.point == (F(3, 2), F(5))
     assert result.value == F(13, 2)
@@ -294,10 +275,12 @@ def test_mixed_denominator_rows():
     # beats the other vertices (2, 0) and (0, 7/10)
     result = solve_lp(
         2,
-        [
-            ([(0, F(1, 2)), (1, F(1, 3))], "<=", F(1)),
-            ([(0, F(1, 5)), (1, F(1))], "<=", F(7, 10)),
-        ],
+        _integer(
+            [
+                ([(0, F(1, 2)), (1, F(1, 3))], "<=", F(1)),
+                ([(0, F(1, 5)), (1, F(1))], "<=", F(7, 10)),
+            ]
+        ),
         [F(1), F(1)],
     )
     assert result.status == "optimal"
@@ -305,32 +288,28 @@ def test_mixed_denominator_rows():
     assert result.value == F(55, 26)
 
 
-def test_int_and_fraction_coefficients_agree(pivots):
-    # an int is a rational of denominator 1: the all-int first row, the
-    # mixed second row and the all-Fraction copy are scaled alike and
-    # take the same pivots
-    rows = [([(0, 1), (1, 2)], "<=", 4), ([(0, F(3)), (1, 1)], "<=", F(6))]
-    as_ints = solve_lp(2, rows, [1, 1])
-    int_pivots = list(pivots)
-    pivots.clear()
-    as_fractions = solve_lp(
-        2,
-        [([(j, F(c)) for j, c in terms], rel, F(rhs)) for terms, rel, rhs in rows],
-        [F(1), F(1)],
-    )
-    assert as_ints == as_fractions
-    assert int_pivots and int_pivots == pivots
-    assert as_ints.point == (F(8, 5), F(6, 5))
-    assert all(type(x) is Fraction for x in as_ints.point)
-    assert type(as_ints.value) is Fraction
+def test_non_int_rows_are_refused(pivots):
+    # solve_lp takes _integer_row's rows: a Fraction, even a whole one, or
+    # a float, as a coefficient or as a right-hand side, in the first row
+    # or a later one, is refused before any pivot
+    good = ([(0, -1), (1, -1)], -1)
+    for bad in (
+        ([(0, F(1, 2))], 1),
+        ([(0, F(2))], 1),
+        ([(0, 0.5)], 1),
+        ([(0, 1)], F(1)),
+        ([(0, 1)], 1.0),
+    ):
+        for rows in ([bad, good], [good, bad]):
+            with pytest.raises(TypeError, match="is not an int"):
+                solve_lp(2, rows, [F(1), F(0)])
+    assert pivots == []
 
 
 def test_fractional_objective_value_in_caller_units():
     # the solver works with 6 * (x/3 + y/2); value is in the caller's units
     for sense, point, value in (("max", (F(0), F(1)), F(1, 2)), ("min", (F(1), F(0)), F(1, 3))):
-        result = solve_lp(
-            2, _split([([(0, F(1)), (1, F(1))], "=", F(1))]), [F(1, 3), F(1, 2)], sense
-        )
+        result = solve_lp(2, _integer([([(0, 1), (1, 1)], "=", 1)]), [F(1, 3), F(1, 2)], sense)
         assert result.status == "optimal"
         assert result.point == point
         assert result.value == value
@@ -344,8 +323,9 @@ def _rational(rng):
 
 
 def _random_lp(rng):
-    """A small LP whose rows draw each relation, ``=`` included (the
-    callers split it with ``_split``); some rows are scaled repeats."""
+    """A small LP of rational rows that draw each relation, ``=``
+    included (``_integer`` writes them as solve_lp's rows); some rows
+    are scaled repeats."""
     n = rng.randint(1, 5)
     rows = []
     for _ in range(rng.randint(0, 5)):
@@ -376,7 +356,7 @@ def pivots(monkeypatch):
     """Every pivot solve_lp takes, as (row, entering variable, element > 0).
 
     An artificial is logged by its own label, the column the Fraction
-    tableau stores it in, not by the column it is read off.
+    tableau stores it in, not by the surplus column it is read off.
     """
     taken = _PivotLog()
     real = simplex._pivot
@@ -386,13 +366,13 @@ def pivots(monkeypatch):
         # every row's denominator, the cost row's (last while a phase runs) too
         assert len(dens) == len(tableau) and all(den > 0 for den in dens)
         # the entering variable, an artificial by its own label, and the
-        # sign of its element, read off its column as _pivot reads it
-        col, base = artificials.get(enter, (enter, 0))
-        element = -tableau[row][col] if base else tableau[row][col]
+        # sign of its element: an artificial is its surplus column negated
+        col = artificials.get(enter, enter)
+        element = -tableau[row][col] if col != enter else tableau[row][col]
         taken.append((row, enter, element > 0))
         if dens[row] != d:
             taken.branches["stale pivot row"] += 1
-        if base:
+        if col != enter:
             taken.branches["artificial read off its surplus"] += 1
         p = abs(element * d // dens[row])
         others = [dens[r] for r, a in enumerate(tableau) if r != row and a[col]]
@@ -412,28 +392,41 @@ def _steps(log):
     return [(r, c, e > 0) for kind, r, c, e in log if kind != "drop"]
 
 
-def _assert_same(num_vars, constraints, objective, sense, pivots):
-    """Assert that solve_lp and the Fraction tableau agree on the result
-    and on every pivot; return the result and the oracle's log."""
+def _relational(rows):
+    """solve_lp's integer rows as the Fraction tableau takes them."""
+    return [(terms, "<=", rhs) for terms, rhs in rows]
+
+
+def _assert_same(num_vars, rows, objective, sense, pivots):
+    """Assert that solve_lp and the Fraction tableau, on the same integer
+    rows, agree on the result and on every pivot; return the result and
+    the oracle's log."""
     pivots.clear()
     log = []
-    got = solve_lp(num_vars, constraints, objective, sense)
-    want = fraction_solve_lp(num_vars, constraints, objective, sense, log=log)
-    args = (num_vars, constraints, objective, sense)
+    got = solve_lp(num_vars, rows, objective, sense)
+    want = fraction_solve_lp(num_vars, _relational(rows), objective, sense, log=log)
+    args = (num_vars, rows, objective, sense)
     assert (got.status, got.point, got.value) == (want.status, want.point, want.value), args
     assert pivots == _steps(log), args
     return got, log
 
 
-def _reentries(num_vars, constraints, log):
+def _assert_same_optimum(num_vars, constraints, objective, sense, got):
+    """Assert that ``got`` has the status and value the Fraction tableau
+    finds on the rational ``(terms, relation, rhs)`` rows as given, ``=``
+    rows included; ties may end at another point."""
+    want = fraction_solve_lp(num_vars, constraints, objective, sense)
+    assert (got.status, got.value) == (want.status, want.value), constraints
+
+
+def _reentries(num_vars, rows, log):
     """The label of each artificial that enters the basis in a simplex
-    step of the oracle's ``log``, for constraints without ``=``: each
-    row has a slack or surplus, so the artificials, one per ``>=`` row
-    as it stands after a negative right-hand side is flipped, are
-    labelled from ``num_vars + len(constraints)`` on. Every artificial
-    starts basic, and phase two never enters one, so each is a
-    phase-one re-entry."""
-    art_start = num_vars + len(constraints)
+    step of the oracle's ``log``, on solve_lp's rows: each row has a
+    slack or surplus, so the artificials, one per row with a negative
+    right-hand side, are labelled from ``num_vars + len(rows)`` on.
+    Every artificial starts basic, and phase two never enters one, so
+    each is a phase-one re-entry."""
+    art_start = num_vars + len(rows)
     return [c for kind, _, c, _ in log if kind == "step" and c >= art_start]
 
 
@@ -444,7 +437,8 @@ def test_random_lps_match_fraction_tableau(pivots):
     relations = Counter()
     for _ in range(1500):
         n, rows, goal, sense = _random_lp(rng)
-        result, log = _assert_same(n, _split(rows), goal, sense, pivots)
+        result, log = _assert_same(n, _integer(rows), goal, sense, pivots)
+        _assert_same_optimum(n, rows, goal, sense, result)
         statuses[result.status] += 1
         events.update(kind for kind, *_ in log)
         events["negative cleanup"] += sum(
@@ -461,52 +455,71 @@ def test_random_lps_match_fraction_tableau(pivots):
     assert set(relations) == {(rel, neg) for rel in ("<=", ">=", "=") for neg in (False, True)}
 
 
-def test_integer_rows_match_fraction_tableau(pivots):
-    # the random LPs with about half of the rows scaled by the lcm of
-    # their denominators and given as plain ints, so those take
-    # solve_lp's integer path at scale 1 beside Fraction rows at their
-    # own scales; the pivots must be the Fraction tableau's, and the ones
-    # the same rows take as Fractions (the unscaled rows are another
-    # phase one: its objective sums the artificials of the rows as given).
-    # Each drawn = row, scaled or not, goes in as its <=/>= pair.
+def _random_system(rng):
+    """A general ``ConstraintSystem`` of rational rows, with weights and a
+    sense: sign rows on some columns, and rows of each relation, about a
+    third of them ``>=`` rows of right-hand side 0."""
+    n = rng.randint(1, 5)
+    columns = tuple(Edge(0, j) for j in range(n))
+    rows = [
+        polytope.Row((j,), (1,), ">=", 0, "nonneg", str(j))
+        for j in range(n)
+        if rng.random() < 0.5
+    ]
+    for i in range(rng.randint(1, 6)):
+        cols = tuple(j for j in range(n) if rng.random() < 0.7)
+        coeffs = tuple(_rational(rng) for _ in cols)
+        if rng.random() < 0.35:
+            relation, rhs = ">=", 0
+        else:
+            relation, rhs = rng.choice(("<=", ">=")), _rational(rng)
+        rows.append(polytope.Row(cols, coeffs, relation, rhs, "extra", str(i)))
+    system = polytope.ConstraintSystem(columns, tuple(map(str, range(n))), tuple(rows))
+    return system, [_rational(rng) for _ in range(n)], rng.choice(("max", "min"))
+
+
+def test_integer_rows_match_fraction_tableau(monkeypatch, pivots):
+    # optimize on general systems with Fraction coefficients hands solve_lp
+    # each row's integer form, all ints; the pivots must be the Fraction
+    # tableau's on those rows, and status and value the ones it finds on
+    # the rows as written, relations and Fractions unscaled
     rng = random.Random(608)
-    relations = Counter()
-    for _ in range(600):
-        n, rows, goal, sense = _random_lp(rng)
-        mixed = []
-        for terms, relation, rhs in rows:
-            if rng.random() < 0.5:
-                mixed.append((terms, relation, rhs))
-                continue
-            scale = math.lcm(rhs.denominator, *[c.denominator for _, c in terms])
-            ints = [(j, int(c * scale)) for j, c in terms]
-            mixed.append((ints, relation, int(rhs * scale)))
-            relations[relation, rhs < 0] += 1
-        mixed = _split(mixed)
-        got, _ = _assert_same(n, mixed, goal, sense, pivots)
-        int_pivots = list(pivots)
-        pivots.clear()
-        as_fractions = [([(j, F(c)) for j, c in t], rel, F(rhs)) for t, rel, rhs in mixed]
-        assert solve_lp(n, as_fractions, goal, sense) == got
-        assert pivots == int_pivots
-    assert set(relations) == {(rel, neg) for rel in ("<=", ">=", "=") for neg in (False, True)}
+    drawn = [_random_system(rng) for _ in range(400)]
+    calls = _recorded_calls(
+        monkeypatch, polytope, lambda: [s.optimize(w, sense) for s, w, sense in drawn]
+    )
+    assert len(calls) == len(drawn)
+    statuses = Counter()
+    kinds = Counter()
+    for (system, weights, sense), args in zip(drawn, calls):
+        for terms, rhs in args[1]:
+            assert type(rhs) is int and all(type(a) is int for _, a in terms)
+            kinds["artificial"] += rhs < 0
+        result, _ = _assert_same(*args, pivots)
+        rational = [(list(zip(r.cols, r.coeffs)), r.relation, r.rhs) for r in system.rows]
+        _assert_same_optimum(len(system.columns), rational, weights, sense, result)
+        statuses[result.status] += 1
+        for row in system.rows:
+            if not row.is_sign:
+                fractional = any(F(a).denominator > 1 for a in row.coeffs)
+                kinds[row.relation == ">=" and row.rhs == 0, fractional] += 1
+    assert set(statuses) == {"optimal", "infeasible", "unbounded"}
+    # >= rows of right-hand side 0, and other rows with a coefficient that
+    # is not whole, reach the solver, and rows that need an artificial
+    assert kinds[True, True] >= 100 and kinds[False, True] >= 100
+    assert kinds["artificial"] >= 100
 
 
 def test_edge_cases_match_fraction_tableau(pivots):
-    rows = [([(0, F(1)), (1, F(1))], ">=", F(1)), ([(0, F(1))], "<=", F(2))]
+    # x + y >= 1 and x <= 2
+    rows = [([(0, -1), (1, -1)], -1), ([(0, 1)], 2)]
     with pytest.raises(ValueError, match="objective length"):
         solve_lp(2, rows, [F(1)])
-    # a float is not a rational the solver takes: it has no denominator,
-    # in a row or in the objective (0.1 is not 1/10 in binary)
-    for floats in ([([(0, 0.5)], "<=", F(2))], [([(0, F(1))], "<=", 2.0)]):
-        with pytest.raises(AttributeError, match="denominator"):
-            solve_lp(2, floats, [F(1), F(0)])
+    # a float is not a rational the solver takes: it has no denominator
+    # (0.1 is not 1/10 in binary)
     for sense in ("max", "min"):
         with pytest.raises(AttributeError, match="denominator"):
             solve_lp(2, rows, [0.1, F(0)], sense)
-    # an equality is a <=/>= pair: "=" is refused before any pivot
-    with pytest.raises(ValueError, match="unknown relation '='"):
-        solve_lp(2, [([(0, F(1))], "=", F(1))], [F(1), F(0)])
     assert pivots == []
     # unbounded along y, optimal at x = 2, then optimal on the line x + y = 1
     results = [
@@ -515,12 +528,12 @@ def test_edge_cases_match_fraction_tableau(pivots):
     ]
     assert [r.status for r in results] == ["unbounded", "optimal", "optimal"]
     assert [r.value for r in results[1:]] == [F(2), F(-1)]
-    infeasible = rows + [([(0, F(1)), (1, F(1))], "<=", F(1, 2))]
+    infeasible = rows + [([(0, 2), (1, 2)], 1)]
     result, _ = _assert_same(2, infeasible, [F(1), F(0)], "min", pivots)
     assert result.status == "infeasible"
-    # a column listed twice is the sum of its terms: x/2 + x/2 + y/3 <= 1
-    # is x + y/3 <= 1, whatever scale the row is given
-    repeated = [([(0, F(1, 2)), (1, F(1, 3)), (0, F(1, 2))], "<=", F(1)), ([(1, 1)], "<=", 2)]
+    # a column listed twice is the sum of its terms: 3x + 2y + 3x <= 6 is
+    # 6x + 2y <= 6
+    repeated = [([(0, 3), (1, 2), (0, 3)], 6), ([(1, 1)], 2)]
     result, _ = _assert_same(2, repeated, [F(1), F(1)], "max", pivots)
     assert (result.point, result.value) == ((F(1, 3), F(2)), F(7, 3))
 
@@ -578,8 +591,9 @@ def test_stability_artificial_reenters_in_phase_one(monkeypatch, pivots):
 
 def test_optimize_fraction_row_matches_fraction_tableau(monkeypatch, pivots):
     # a hand-built system whose first stability row weighs its first
-    # column by 1/2: optimize hands that row over as Fractions and every
-    # other row as ints, and each solve takes the Fraction tableau's pivots
+    # column by 1/2: optimize hands that row over scaled by 2 and negated,
+    # every row as ints, and each solve takes the Fraction tableau's
+    # pivots on those rows, with the status and value of the rows as built
     rng = random.Random(609)
     system = build_system(random_instance(3, 3, 1.0, rng))
     rows = list(system.rows)
@@ -594,15 +608,17 @@ def test_optimize_fraction_row_matches_fraction_tableau(monkeypatch, pivots):
 
     calls = _recorded_calls(monkeypatch, polytope, run)
     assert len(calls) == 6
+    # optimize leaves the sign rows out
+    at = sum(1 for row in rows[:k] if not row.is_sign)
+    halved_row = ([(rows[k].cols[0], -1)] + [(c, -2) for c in rows[k].cols[1:]], -2)
+    rational = [(list(zip(r.cols, r.coeffs)), r.relation, r.rhs) for r in rows]
     for args in calls:
-        constraints = args[1]
-        kinds = Counter(
-            Fraction if any(type(w) is Fraction for _, w in terms) else int
-            for terms, _, _ in constraints
-        )
-        assert kinds[Fraction] == 1 and kinds[int] == len(constraints) - 1
+        handed = [(list(terms), rhs) for terms, rhs in args[1]]
+        assert handed[at] == halved_row
+        assert all(type(a) is int for terms, rhs in handed for _, a in (*terms, (0, rhs)))
         result, _ = _assert_same(*args, pivots)
         assert result.status == "optimal"
+        _assert_same_optimum(len(halved.columns), rational, args[2], args[3], result)
 
 
 def test_complete_5x5_optimize_lps_match_fraction_tableau(monkeypatch, pivots):
@@ -640,7 +656,7 @@ def test_midpoint_lps_match_fraction_tableau(pivots, opposed4):
     for inst in (opposed4, latin(4)):
         for p, q in combinations(filter_stable(inst), 2):
             pool, rows = midpoint_lp(inst, p, q)
-            rows = _split(rows)
+            rows = _integer(rows)
             for k, rival in enumerate(pool):
                 if rival in (p, q):
                     continue
@@ -695,4 +711,36 @@ def test_optimize_results_golden():
     assert ties >= 30
     assert digest.hexdigest() == (
         "2fd560fdccce7883999a49f3c1c2397aab719284f20f2d10c46de508ed05b59f"
+    )
+
+
+def test_optimize_pivot_log_golden(monkeypatch):
+    # the (row, entering label) of every pivot optimize takes, phase one,
+    # clean-up and phase two, one line per solve, hashed; the digest was
+    # taken with the simplex that took each row with its relation and
+    # scaled it itself, so handing it _integer_row's rows moves no pivot
+    log = []
+    real = simplex._pivot
+
+    def record(tableau, dens, row, enter, d, artificials):
+        log.append((row, enter))
+        return real(tableau, dens, row, enter, d, artificials)
+
+    monkeypatch.setattr(simplex, "_pivot", record)
+    rng = random.Random(2911)
+    digest = hashlib.sha256()
+    solves = taken = 0
+    for size, count in ((3, 40), (4, 20), (5, 8)):
+        for inst in islice(random_instances(size, size, 1.0, 2910 + size), count):
+            system = build_system(inst)
+            for sense in ("max", "min"):
+                weights = [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in system.columns]
+                log.clear()
+                assert system.optimize(weights, sense).status == "optimal"
+                digest.update(repr(log).encode() + b"\n")
+                solves += 1
+                taken += len(log)
+    assert (solves, taken) == (136, 6420)
+    assert digest.hexdigest() == (
+        "198a9765e059c63761aedac4fd37fde755d06061a47e65a01898be4a8c8e86b6"
     )
