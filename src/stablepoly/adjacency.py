@@ -51,21 +51,25 @@ def _exact_adjacency(
 
     ``alternative`` is the half-half decomposition of the midpoint by the
     first rival that has such a partner; the partner is a rival listed
-    after it, so the decomposition is in stable order.
+    after it, so the decomposition is in stable order. Matchings are told
+    apart by their edge sets, which is all that ``Matching`` equality
+    compares, so the inputs are looked up in a map of the lattice by
+    edges.
     """
-    if m1 == m2:
+    e1, e2 = m1.edges, m2.edges
+    if e1 == e2:
         raise ValueError("adjacency needs two distinct matchings")
     stable = enumerate_stable(instance, max_edges)
-    if m1 not in stable or m2 not in stable:
-        raise ValueError("adjacency is defined between stable matchings only")
     by_edges = {m.edges: m for m in stable}
-    union = m1.edges | m2.edges
+    if e1 not in by_edges or e2 not in by_edges:
+        raise ValueError("adjacency is defined between stable matchings only")
+    union = e1 | e2
     maxima: list[tuple[Matching, Fraction]] = []
     alternative: dict[Matching, Fraction] | None = None
     for m in stable:
-        if m == m1 or m == m2:
+        if m.edges == e1 or m.edges == e2:
             continue
-        partner = by_edges.get(m1.edges ^ m2.edges ^ m.edges) if m.edges <= union else None
+        partner = by_edges.get(e1 ^ e2 ^ m.edges) if m.edges <= union else None
         maxima.append((m, ZERO if partner is None else HALF))
         if partner is not None and alternative is None:
             alternative = {m: HALF, partner: HALF}
@@ -117,8 +121,11 @@ def adjacency_verdict(
     more than ``max_edges`` edges raises ``LimitError``. The lattice comes
     from ``enumerate_stable``, which keeps the one of the most recent
     instance: checking every pair of one instance walks it once. Both
-    matchings are found in that lattice before their partners are
-    compared, so no blocking pair is looked for again.
+    matchings are found in that lattice, by edge set, before their
+    partners are compared. The lattice holds only stable matchings, so
+    neither the covering test nor the blocking-pair scan runs here; a
+    caller that also runs ``decompose`` or ``meet_join`` on the pair pays
+    for one covering verdict per instance and edge set, not one per call.
     """
     adjacent, maxima, alternative = _exact_adjacency(instance, m1, m2, max_edges)
     ab1, ab2 = partner_maps(m1, m2)

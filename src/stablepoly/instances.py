@@ -140,6 +140,16 @@ class Instance:
             add(Edge(i, j) for i in prefs)
         return {e: frozenset(cover) for e, cover in covers.items()}
 
+    @cached_property
+    def _covering_edge_sets(self) -> set[frozenset[Edge]]:
+        """The edge sets already found to meet every cover set.
+
+        Only ``matchings.covers_every_edge`` reads and fills it, and only
+        with edge sets that passed its whole check, so it never holds more
+        edge sets than the instance has stable matchings.
+        """
+        return set()
+
 
 def _table_problems(instance: Instance) -> list[str]:
     """The faults of a refused table: each listing out of range or

@@ -12,8 +12,11 @@ other one.
 
 ``decompose`` and ``meet_join`` need stable inputs, and ``meet_join``
 checks its outputs too. Each of these checks is the covering test of
-``matchings.covers_every_edge``; the blocking-pair scan runs only on a
-matching that fails it, to name the blocking edges in the error.
+``matchings.covers_every_edge``, whose verdict on a stable matching is
+computed once per instance and edge set: a stable pair run through both
+functions reads the covers once per distinct matching among the pair,
+its meet and its join. The blocking-pair scan runs only on a matching
+that fails the test, to name the blocking edges in the error.
 """
 
 from __future__ import annotations

@@ -91,9 +91,21 @@ def covers_every_edge(instance: Instance, matching: Matching) -> bool:
     b, and the edges at b that b prefers to a. The matching is stable when
     every edge is dominated. A non-edge lies in no cover set, so a matching
     that uses one raises ``ValueError`` before the covers are read.
+
+    Each passing verdict is computed once per instance and edge set: an
+    edge set that passes is kept on the instance, and asking again
+    returns ``True`` at once. A failing edge set, or one with a non-edge,
+    is never kept, so it is checked, and refused, again on every call.
     """
+    edges = matching.edges
+    passed = instance._covering_edge_sets
+    if edges in passed:
+        return True
     _require_subgraph(instance, matching)
-    return not any(map(matching.edges.isdisjoint, instance.cover_sets.values()))
+    if any(map(edges.isdisjoint, instance.cover_sets.values())):
+        return False
+    passed.add(edges)
+    return True
 
 
 def routes_disagree(matching: Matching, covering: bool, scan: bool) -> RuntimeError:
@@ -110,8 +122,9 @@ def is_stable(instance: Instance, matching: Matching) -> bool:
     blocking-pair scan.
 
     The scan shares nothing with the covering test beyond the instance
-    model, and here it always runs too; a disagreement between the two
-    raises ``RuntimeError``.
+    model, and here it always runs too, also when the covering verdict
+    comes from the instance's memo; a disagreement between the two raises
+    ``RuntimeError``.
     """
     stable = covers_every_edge(instance, matching)
     verdict = not blocking_pairs(instance, matching)

@@ -124,6 +124,29 @@ def test_are_adjacent(opposed2, opposed4):
         adjacency_verdict(opposed2, m1, unstable)
 
 
+def test_verdict_reads_matchings_by_edge_set():
+    """Inputs equal to the lattice's matchings but built anew give the
+    same verdict bytes; equal edge sets are one matching, and a matching
+    outside the lattice is refused."""
+    for _, inst in itertools.islice(golden_instances(), 3):
+        stable = enumerate_stable(inst)
+        for m1, m2 in itertools.combinations(stable, 2):
+            want = adjacency_verdict(inst, m1, m2).to_json(inst)
+            n1 = Matching(m1.edges)
+            n2 = Matching.from_pairs(inst, m2.to_pairs(inst))
+            assert n2.edges is not m2.edges
+            assert adjacency_verdict(inst, n1, n2).to_json(inst) == want
+            assert adjacency_verdict(inst, m1, n2).to_json(inst) == want
+        for m in stable:
+            with pytest.raises(ValueError, match="two distinct matchings"):
+                adjacency_verdict(inst, m, Matching(m.edges))
+        unstable = Matching(frozenset({min(inst.edges)}))
+        with pytest.raises(ValueError, match="stable matchings only"):
+            adjacency_verdict(inst, stable[0], unstable)
+        with pytest.raises(ValueError, match="stable matchings only"):
+            adjacency_verdict(inst, unstable, stable[0])
+
+
 def test_verdict_scans_no_blocking_pair(monkeypatch, opposed4):
     # the pair is found in the stable lattice first, so splitting its
     # difference does not check stability a second time

@@ -7,7 +7,7 @@ import weakref
 
 import pytest
 
-from stablepoly import lattice
+from stablepoly import lattice, matchings
 from stablepoly.adjacency import adjacency_verdict
 from stablepoly.instances import (
     SIDE_A,
@@ -198,6 +198,30 @@ def test_stable_checks_scan_no_blocking_pair(monkeypatch, opposed4):
                 run(opposed4, *args)
             assert scans == [(opposed4, unstable)]
             scans.clear()
+
+
+def test_covering_scan_runs_once_per_edge_set(monkeypatch):
+    """All 64 ordered pairs of an eight-matching lattice through
+    ``decompose``, ``meet_join`` and ``adjacency_verdict`` read the covers
+    once per distinct edge set: every meet and join is one of the eight,
+    and a kept verdict skips the subgraph check and the scan."""
+    inst = blocks(3)
+    misses = []
+    real = matchings._require_subgraph
+    monkeypatch.setattr(
+        matchings, "_require_subgraph", lambda i, m: misses.append(m.edges) or real(i, m)
+    )
+    stable = enumerate_stable(inst)
+    for m1, m2 in itertools.product(stable, repeat=2):
+        decompose(inst, m1, m2)
+        meet_join(inst, m1, m2)
+        if m1 == m2:
+            with pytest.raises(ValueError, match="distinct"):
+                adjacency_verdict(inst, m1, m2)
+        else:
+            adjacency_verdict(inst, m1, m2)
+    assert len(stable) == 8 and len(misses) == 8
+    assert set(misses) == {m.edges for m in stable} == inst._covering_edge_sets
 
 
 def test_unstable_input_errors_are_pinned(opposed2):

@@ -12,6 +12,7 @@ from stablepoly.instances import (
     exhaustive_complete,
     random_instances,
 )
+from stablepoly.lattice import decompose
 from stablepoly.matchings import (
     Matching,
     blocking_pairs,
@@ -237,3 +238,56 @@ def test_matchings_iter_matches_oracle():
             is_stable(inst, Matching.from_edges([Edge(i, j) for i, j in s]))
             for s in stable
         )
+
+
+def test_covering_memo_keeps_no_unstable_matching(opposed2):
+    """An unstable edge set is never kept, so it is checked, and refused
+    with the same message, on every call."""
+    unstable = Matching.from_edges([Edge(0, 0)])
+    messages = []
+    for _ in range(3):
+        assert not matchings.covers_every_edge(opposed2, unstable)
+        assert not is_stable(opposed2, unstable)
+        with pytest.raises(ValueError) as refused:
+            decompose(opposed2, unstable, unstable)
+        messages.append(str(refused.value))
+        assert unstable.edges not in opposed2._covering_edge_sets
+    assert messages == ["first matching is not stable, blocked by ['a2 b1', 'a2 b2']"] * 3
+
+
+def test_covering_memo_still_refuses_non_edges(opposed2):
+    """Once a stable edge set is kept, the same edges plus a non-edge are
+    still refused, and never kept."""
+    stable = Matching.from_edges([Edge(0, 0), Edge(1, 1)])
+    assert matchings.covers_every_edge(opposed2, stable)
+    assert opposed2._covering_edge_sets == {stable.edges}
+    padded = Matching.from_edges([Edge(0, 0), Edge(1, 1), Edge(2, 2)])
+    for check in (matchings.covers_every_edge, is_stable, matchings.covers_every_edge):
+        with pytest.raises(ValueError, match=r"matching uses non-edges: \[Edge\(a=2, b=2\)\]"):
+            check(opposed2, padded)
+    assert opposed2._covering_edge_sets == {stable.edges}
+
+
+def test_covering_memo_hit_still_cross_checks(opposed2, monkeypatch):
+    """A kept covering verdict is still checked against the blocking-pair
+    scan by ``is_stable``."""
+    stable = Matching.from_edges([Edge(0, 0), Edge(1, 1)])
+    assert is_stable(opposed2, stable)
+    assert stable.edges in opposed2._covering_edge_sets
+    monkeypatch.setattr(matchings, "blocking_pairs", lambda instance, matching: [Edge(0, 1)])
+    with pytest.raises(RuntimeError, match="stability routines disagree"):
+        is_stable(opposed2, Matching.from_edges([Edge(1, 1), Edge(0, 0)]))
+
+
+def test_covering_memo_gives_the_same_verdicts():
+    """On every matching of a complete 4x4 instance, a second pass (all
+    stable edge sets kept) gives the verdicts of the first and of the
+    blocking-pair scan, and only the stable edge sets are kept."""
+    inst = draw(random.Random(412), 4, 4, 1.0)
+    every = list(matchings_iter(inst))
+    assert len(inst.edges) == 16 and len(every) == 209
+    first = [matchings.covers_every_edge(inst, m) for m in every]
+    second = [matchings.covers_every_edge(inst, m) for m in every]
+    assert first == second == [not blocking_pairs(inst, m) for m in every]
+    assert [is_stable(inst, m) for m in every] == first
+    assert inst._covering_edge_sets == {m.edges for m, ok in zip(every, first) if ok}
