@@ -87,11 +87,8 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 def _cmd_check(args: argparse.Namespace) -> int:
     instance = load_instance(args.instance)
     matching = _load_matching(instance, args.matching)
-    stable = is_stable(instance, matching)
-    # is_stable has run the scan and agreed with it; scan again only to name the pairs
-    blocking = []
-    if not stable:
-        blocking = [instance.edge_name(e) for e in blocking_pairs(instance, matching)]
+    blocking = [instance.edge_name(e) for e in blocking_pairs(instance, matching)]
+    stable = not blocking
     table = "stable" if stable else "unstable, blocked by: " + ", ".join(blocking)
     _emit({"stable": stable, "blocking": blocking}, args.format, table)
     return 0 if stable else 1
@@ -222,6 +219,8 @@ def _instance_stream(args: argparse.Namespace) -> Iterator[Instance | str]:
     if args.complete is not None:
         return exhaustive_complete(args.complete)
     if args.random is not None:
+        if args.random < 0:
+            raise InstanceError(f"--random needs a count of at least 0, got {args.random}")
         stream = random_instances(
             args.a, args.b, args.p, args.seed, skip_edgeless=args.skip_edgeless
         )

@@ -157,35 +157,27 @@ def _table_problems(instance: Instance) -> list[str]:
     explain why ``Instance`` refuses the table."""
     problems: list[str] = []
     sides = (
-        (instance.a_prefs, instance.a_names, instance.b_count, instance.b_names),
-        (instance.b_prefs, instance.b_names, instance.a_count, instance.a_names),
+        (instance.a_prefs, instance.a_names, instance.b_prefs, instance.b_names),
+        (instance.b_prefs, instance.b_names, instance.a_prefs, instance.a_names),
     )
-    for table, names, other_count, other_names in sides:
+    for table, names, other_table, other_names in sides:
         for i, prefs in enumerate(table):
             seen: set[int] = set()
             for j in prefs:
-                if not 0 <= j < other_count:
+                if not 0 <= j < len(other_table):
                     problems.append(f"unknown neighbour index {j} in prefs of {names[i]}")
                     continue
                 if j in seen:
                     problems.append(f"not a strict order: duplicate {other_names[j]} in prefs of {names[i]}")
                 seen.add(j)
-    for i, prefs in enumerate(instance.a_prefs):
-        for j in prefs:
-            if 0 <= j < instance.b_count and i not in instance.b_prefs[j]:
-                problems.append(
-                    "edge/pref mismatch: "
-                    f"{instance.a_names[i]} lists {instance.b_names[j]} "
-                    f"but {instance.b_names[j]} does not list {instance.a_names[i]}"
-                )
-    for j, prefs in enumerate(instance.b_prefs):
-        for i in prefs:
-            if 0 <= i < instance.a_count and j not in instance.a_prefs[i]:
-                problems.append(
-                    "edge/pref mismatch: "
-                    f"{instance.b_names[j]} lists {instance.a_names[i]} "
-                    f"but {instance.a_names[i]} does not list {instance.b_names[j]}"
-                )
+    for table, names, other_table, other_names in sides:
+        for i, prefs in enumerate(table):
+            for j in prefs:
+                if 0 <= j < len(other_table) and i not in other_table[j]:
+                    problems.append(
+                        f"edge/pref mismatch: {names[i]} lists {other_names[j]} "
+                        f"but {other_names[j]} does not list {names[i]}"
+                    )
     return problems
 
 
@@ -215,12 +207,18 @@ def random_instance(
     then every node shuffles its neighbour list independently.
 
     ``skip_edgeless`` redraws until some edge exists, so it is refused
-    when no edge can ever be drawn.
+    when no edge can ever be drawn. Negative side sizes and a probability
+    outside [0, 1] raise ``ValueError`` too.
     """
     if skip_edgeless and not (a_count > 0 and b_count > 0 and edge_prob > 0):
         raise ValueError(
             "skip_edgeless needs both sides non-empty and a positive edge probability"
         )
+    for side, count in (("a-side", a_count), ("b-side", b_count)):
+        if count < 0:
+            raise ValueError(f"{side} size must be at least 0, got {count}")
+    if not 0 <= edge_prob <= 1:
+        raise ValueError(f"edge probability must lie in [0, 1], got {edge_prob}")
     while True:
         present = [
             (i, j)

@@ -15,8 +15,9 @@ checks its outputs too. Each of these checks is the covering test of
 ``matchings.covers_every_edge``, whose verdict on a stable matching is
 computed once per instance and edge set: a stable pair run through both
 functions reads the covers once per distinct matching among the pair,
-its meet and its join. The blocking-pair scan runs only on a matching
-that fails the test, to name the blocking edges in the error.
+its meet and its join. Only a matching that fails the test goes on to
+``matchings.blocking_pairs``, which names the blocking edges in the
+error and raises ``RuntimeError`` if its scan finds none.
 """
 
 from __future__ import annotations
@@ -25,13 +26,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .instances import SIDE_A, SIDE_B, Edge, Instance, LimitError, NodeId
-from .matchings import (
-    Matching,
-    blocking_pairs,
-    covers_every_edge,
-    gale_shapley,
-    routes_disagree,
-)
+from .matchings import Matching, blocking_pairs, covers_every_edge, gale_shapley
 
 
 class UniformityError(RuntimeError):
@@ -105,26 +100,12 @@ def _component_orientation(
     return verdict
 
 
-def _blocked_by(instance: Instance, m: Matching) -> list[Edge]:
-    """No edge when ``m`` passes the covering test; otherwise its blocking
-    pairs, scanned only to explain the failure. A scan that finds none
-    raises ``RuntimeError``, as ``is_stable`` does when the routes
-    disagree."""
-    if covers_every_edge(instance, m):
-        return []
-    bad = blocking_pairs(instance, m)
-    if not bad:
-        raise routes_disagree(m, False, True)
-    return bad
-
-
 def _require_stable(instance: Instance, m1: Matching, m2: Matching) -> None:
     for label, m in (("first", m1), ("second", m2)):
-        bad = _blocked_by(instance, m)
-        if bad:
+        if not covers_every_edge(instance, m):
             raise ValueError(
                 f"{label} matching is not stable, blocked by "
-                f"{[instance.edge_name(e) for e in bad]}"
+                f"{[instance.edge_name(e) for e in blocking_pairs(instance, m)]}"
             )
 
 
@@ -143,8 +124,8 @@ def decompose(instance: Instance, m1: Matching, m2: Matching) -> Decomposition:
 
     Both inputs must be stable; the orientation claim does not survive
     unstable inputs and the caller is told so via ValueError, which lists
-    the blocking edges. Stability is the covering test; the blocking-pair
-    scan runs only for an input that fails it. Two stable matchings
+    the blocking edges. Stability is the covering test; ``blocking_pairs``
+    runs only for an input that fails it. Two stable matchings
     cover the same nodes (``partner_maps``), so their difference is a
     union of cycles; a mixed component raises ``UniformityError``.
     """
@@ -187,7 +168,7 @@ def meet_join(instance: Instance, m1: Matching, m2: Matching) -> tuple[Matching,
     pair (meet, join) uses exactly the edges of (m1, m2) with the same
     multiplicity. Both inputs must be stable (``ValueError`` otherwise),
     and a blocked meet or join raises ``SwapStabilityError``. All four
-    checks are the covering test; the blocking-pair scan runs only on a
+    checks are the covering test; ``blocking_pairs`` runs only on a
     matching that fails it, to list the blocking edges.
     """
     _require_stable(instance, m1, m2)
@@ -202,13 +183,12 @@ def meet_join(instance: Instance, m1: Matching, m2: Matching) -> tuple[Matching,
         better.append(Edge(a, b2))
     meet, join = Matching(frozenset(worse)), Matching(frozenset(better))
     for label, m in (("meet", meet), ("join", join)):
-        bad = _blocked_by(instance, m)
-        if bad:
+        if not covers_every_edge(instance, m):
             raise SwapStabilityError(
                 f"{label} of two stable matchings is blocked",
                 {
                     "result": m.to_pairs(instance),
-                    "blocking": [instance.edge_name(e) for e in bad],
+                    "blocking": [instance.edge_name(e) for e in blocking_pairs(instance, m)],
                     "m1": m1.to_pairs(instance),
                     "m2": m2.to_pairs(instance),
                 },

@@ -108,38 +108,40 @@ def covers_every_edge(instance: Instance, matching: Matching) -> bool:
     return True
 
 
-def routes_disagree(matching: Matching, covering: bool, scan: bool) -> RuntimeError:
-    """The error for a matching on which the covering test and the
-    blocking-pair scan give different verdicts."""
-    return RuntimeError(
-        f"stability routines disagree on {sorted(matching.edges)}: "
-        f"covering says {covering}, blocking scan says {scan}"
-    )
-
-
 def is_stable(instance: Instance, matching: Matching) -> bool:
-    """The covering test (``covers_every_edge``), checked against the
-    blocking-pair scan.
-
-    The scan shares nothing with the covering test beyond the instance
-    model, and here it always runs too, also when the covering verdict
-    comes from the instance's memo; a disagreement between the two raises
-    ``RuntimeError``.
-    """
-    stable = covers_every_edge(instance, matching)
-    verdict = not blocking_pairs(instance, matching)
-    if verdict != stable:
-        raise routes_disagree(matching, stable, verdict)
-    return stable
+    """True when ``blocking_pairs`` finds no blocking edge, so both
+    stability routes have run and agreed."""
+    return not blocking_pairs(instance, matching)
 
 
 def blocking_pairs(instance: Instance, matching: Matching) -> list[Edge]:
     """Edges whose endpoints would both rather have each other, sorted.
 
+    The one place where the two stability routes meet: the covering test
+    (``covers_every_edge``, memo included) runs first, refusing a matching
+    with a non-edge, and then the blocking-pair scan, which shares nothing
+    with it beyond the instance model. The scan runs on every call, also
+    when the covering verdict comes from the instance's memo. The test
+    must pass exactly when the scan finds no edge; a disagreement between
+    the two raises ``RuntimeError``.
+    """
+    covering = covers_every_edge(instance, matching)
+    blocking = _blocking_scan(instance, matching)
+    if covering == bool(blocking):
+        raise RuntimeError(
+            f"stability routines disagree on {sorted(matching.edges)}: "
+            f"covering says {covering}, blocking scan says {not blocking}"
+        )
+    return blocking
+
+
+def _blocking_scan(instance: Instance, matching: Matching) -> list[Edge]:
+    """The blocking pairs by the Gale-Shapley definition, sorted, for a
+    matching already known to use only edges of the instance.
+
     Each a-node's list is walked only down to its partner, since the
     a-node wants no edge further down.
     """
-    _require_subgraph(instance, matching)
     a_partner = {e.a: e.b for e in matching.edges}
     b_partner = {e.b: e.a for e in matching.edges}
     b_rank = instance.b_rank

@@ -27,11 +27,16 @@ Point = tuple[Fraction, ...]
 _Homogeneous = tuple[tuple[int, ...], int, int]
 # a point as above with its slack on the row being inserted
 _Slacked = tuple[tuple[int, ...], int, int, int]
+_RATIONAL = (int, Fraction)
 
 
 @dataclass(frozen=True)
 class Row:
-    """One inequality, sparse over the edge columns."""
+    """One inequality, sparse over the edge columns.
+
+    Coefficients and the right-hand side are ``int`` or ``Fraction``;
+    any other entry raises ``TypeError``.
+    """
 
     cols: tuple[int, ...]
     coeffs: tuple[int | Fraction, ...]
@@ -47,6 +52,13 @@ class Row:
             raise ValueError("column and coefficient counts differ")
         if len(set(self.cols)) != len(self.cols):
             raise ValueError(f"repeated column in {self.cols}")
+        # two checks, not one loop over (*coeffs, rhs): a Row is made for
+        # every row of every system, and the joined tuple costs twice as much
+        for entry in self.coeffs:
+            if not isinstance(entry, _RATIONAL):
+                raise TypeError(f"row entry {entry!r} is not an int or a Fraction")
+        if not isinstance(self.rhs, _RATIONAL):
+            raise TypeError(f"row entry {self.rhs!r} is not an int or a Fraction")
 
     @property
     def is_sign(self) -> bool:

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from stablepoly import cli, lattice
+from stablepoly import cli, lattice, matchings
 from stablepoly.cli import main
 from stablepoly.instances import instance_to_json
 
@@ -69,6 +69,17 @@ def test_check_exit_codes(capsys, tmp_path, inst_file):
     inst.write_text(json.dumps({"a": ["a"], "b": ["b"], "prefs": {"a": ["b"], "b": ["a"]}}))
     code, out, err = run(capsys, ["check", str(inst), write_matching(tmp_path, "m_ab.json", ["ab"])])
     assert code == 2 and out == "" and err.startswith("error:")
+
+
+def test_check_scans_an_unstable_matching_once(capsys, monkeypatch, tmp_path, inst_file):
+    """The verdict and the blocking names come from one scan."""
+    scans = []
+    real = matchings._blocking_scan
+    monkeypatch.setattr(matchings, "_blocking_scan", lambda *a: scans.append(a) or real(*a))
+    bad = write_matching(tmp_path, "bad.json", [["a1", "b1"]])
+    code, out, err = run(capsys, ["check", inst_file, bad])
+    assert (code, out, err) == (1, "unstable, blocked by: a2 b1, a2 b2\n", "")
+    assert len(scans) == 1
 
 
 @pytest.mark.parametrize(
@@ -398,6 +409,22 @@ def test_skip_edgeless_without_possible_edges_is_input_error(capsys):
         code, out, err = run(capsys, argv)
         assert code == 2 and out == ""
         assert "skip_edgeless" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "--random", "-1"], "--random needs a count of at least 0, got -1"),
+        (["generate", "--random", "-2"], "--random needs a count of at least 0, got -2"),
+        (["verify", "--random", "3", "--a", "-1"], "a-side size must be at least 0, got -1"),
+        (["generate", "--random", "3", "--b", "-1"], "b-side size must be at least 0, got -1"),
+        (["verify", "--random", "3", "--p", "-0.5"], "edge probability must lie in [0, 1], got -0.5"),
+        (["generate", "--random", "3", "--p", "1.5"], "edge probability must lie in [0, 1], got 1.5"),
+    ],
+    ids=["verify-random", "generate-random", "a", "b", "p-negative", "p-above-one"],
+)
+def test_bad_random_source_flag_is_input_error(capsys, argv, message):
+    assert run(capsys, argv) == (2, "", f"error: {message}\n")
 
 
 def test_verify_quarantine_written_when_clean(capsys, tmp_path, inst_file):

@@ -273,7 +273,7 @@ def test_stable_checks_raise_when_routes_disagree(monkeypatch, opposed2):
     or output is an error, never a result."""
     stable = Matching.from_edges([Edge(0, 0), Edge(1, 1)])
     unstable = Matching.from_edges([Edge(0, 0)])
-    monkeypatch.setattr(lattice, "blocking_pairs", lambda instance, matching: [])
+    monkeypatch.setattr(matchings, "_blocking_scan", lambda instance, matching: [])
     for run in (decompose, meet_join):
         for args in ((unstable, stable), (stable, unstable)):
             with pytest.raises(RuntimeError, match="stability routines disagree"):

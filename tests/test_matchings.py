@@ -177,7 +177,7 @@ def test_is_stable_raises_when_routes_disagree(opposed2, monkeypatch):
     matching makes the covering test's verdict an error, not an answer."""
     unstable = Matching.from_edges([Edge(0, 0)])
     assert blocking_pairs(opposed2, unstable)
-    monkeypatch.setattr(matchings, "blocking_pairs", lambda instance, matching: [])
+    monkeypatch.setattr(matchings, "_blocking_scan", lambda instance, matching: [])
     with pytest.raises(RuntimeError, match="stability routines disagree"):
         is_stable(opposed2, unstable)
 
@@ -274,9 +274,27 @@ def test_covering_memo_hit_still_cross_checks(opposed2, monkeypatch):
     stable = Matching.from_edges([Edge(0, 0), Edge(1, 1)])
     assert is_stable(opposed2, stable)
     assert stable.edges in opposed2._covering_edge_sets
-    monkeypatch.setattr(matchings, "blocking_pairs", lambda instance, matching: [Edge(0, 1)])
+    monkeypatch.setattr(matchings, "_blocking_scan", lambda instance, matching: [Edge(0, 1)])
     with pytest.raises(RuntimeError, match="stability routines disagree"):
         is_stable(opposed2, Matching.from_edges([Edge(1, 1), Edge(0, 0)]))
+
+
+@pytest.mark.parametrize(
+    "edges, scanned, covering",
+    [([(0, 0)], [], False), ([(0, 0), (1, 1)], [Edge(0, 1)], True)],
+    ids=["scan-misses-a-pair", "scan-blocks-a-stable-matching"],
+)
+def test_blocking_pairs_raises_when_routes_disagree(opposed2, monkeypatch, edges, scanned, covering):
+    """``blocking_pairs`` runs the covering test and the scan, and a scan
+    that contradicts the covering verdict either way is an error."""
+    matching = Matching.from_edges([Edge(*e) for e in edges])
+    monkeypatch.setattr(matchings, "_blocking_scan", lambda instance, matching: scanned)
+    with pytest.raises(RuntimeError) as info:
+        blocking_pairs(opposed2, matching)
+    assert str(info.value) == (
+        f"stability routines disagree on {sorted(matching.edges)}: "
+        f"covering says {covering}, blocking scan says {not covering}"
+    )
 
 
 def test_covering_memo_gives_the_same_verdicts():

@@ -53,6 +53,16 @@ def violated_rows(system, point):
     return [i for i, row in enumerate(system.rows) if slack(row, point) < 0]
 
 
+def test_row_refuses_entries_that_are_not_rational():
+    """A float entry is refused when the row is made, not later inside
+    the vertex or LP code that reads it as a rational."""
+    for coeffs, rhs, entry in (((0.5,), 1, "0.5"), ((ONE,), 1.0, "1.0"), ((1,), "1", "'1'")):
+        with pytest.raises(TypeError) as refused:
+            Row((0,), coeffs, "<=", rhs, "degree", "n")
+        assert str(refused.value) == f"row entry {entry} is not an int or a Fraction"
+    assert Row((0, 1), (1, HALF), "<=", F(3, 2), "degree", "n").rhs == F(3, 2)
+
+
 def test_row_validation_and_evaluation():
     row = Row((0, 2), (ONE, F(2)), "<=", F(3), "degree", "n")
     assert slack(row, (ONE, F(9), HALF)) == ONE
